@@ -74,7 +74,9 @@ type committed = { c_txn : int; c_op : string; c_count : int }
 
 type t = {
   config : config;
-  rules : Program.t;  (** rules only; facts live in the database *)
+  rules : Program.t;
+      (** the rules plus [seed_idb_facts] (DRed's protected set); every
+          other fact lives in the database *)
   idb : Pred.Set.t;
   seed_idb_facts : Atom.t list;
       (** program facts on derived predicates: always protected from
@@ -101,6 +103,7 @@ let txn t = t.txn
 let db t = t.db
 let pending t = Queue.length t.queue
 let cache t = t.cache
+let counters t = t.cnt
 let wal_active t = t.wal <> None
 
 let op_string = function `Add -> "add" | `Remove -> "remove"
@@ -330,6 +333,24 @@ let base_atoms t =
   in
   if t.positive then t.seed_idb_facts @ base else base
 
+(* The stored tuples matching [goal], in insertion order: an index lookup
+   on the constant columns (hash buckets are newest first, hence the
+   reversing filter), then a filter for repeated variables. *)
+let select_matching rel goal =
+  let bindings =
+    List.concat
+      (List.mapi
+         (fun i arg ->
+           match arg with
+           | Term.Const v -> [ (i, Code.of_value v) ]
+           | Term.Var _ -> [])
+         (Array.to_list (Atom.args goal)))
+  in
+  let keep acc tuple = if Tuple.matches goal tuple then tuple :: acc else acc in
+  match bindings with
+  | [] -> List.filter (Tuple.matches goal) (Relation.to_list rel)
+  | _ -> List.fold_left keep [] (Relation.select rel bindings)
+
 let limits_of t budgets ~now ~deadline =
   let dflt = t.config.default_budgets in
   let pick get = match get budgets with Some v -> Some v | None -> get dflt in
@@ -366,7 +387,9 @@ let run_query t ~now ~deadline env goal engine =
       (* the saturated database already holds every answer *)
       let pred = Atom.pred goal in
       let answers =
-        List.filter (Tuple.matches goal) (Database.tuples t.db pred)
+        match Database.find t.db pred with
+        | None -> []
+        | Some rel -> select_matching rel goal
       in
       Cache.insert t.cache goal ~deps:(deps_closure t pred) answers;
       Protocol.answers_reply ~id ~goal ~answers ~cached:false ~complete:true
@@ -416,16 +439,26 @@ let validate_mutation t facts =
            Atom.pp a)
     | None -> Ok ())
 
+(* Maintenance always runs compiled; [Incremental] orders every plan
+   delta-first with hash probes only, whatever the config says. *)
+let maintenance_plan = Datalog_engine.Plan.config ()
+
 let apply_mutation t ~limits ~on_change op facts =
   if t.positive then begin
-    match op with
-    | `Add -> Datalog_engine.Incremental.add_facts t.cnt ~limits ~on_change t.rules t.db facts
-    | `Remove ->
-      let program =
-        Program.make ~facts:(base_atoms t) (Program.rules t.rules)
-      in
-      Datalog_engine.Incremental.remove_facts t.cnt ~limits ~on_change program
-        t.db facts
+    (* a counter of its own: the guard reads [facts_derived] absolutely,
+       and [max_facts] budgets this request, not the service's lifetime *)
+    let cnt = Datalog_engine.Counters.create () in
+    let maintain =
+      match op with
+      | `Add -> Datalog_engine.Incremental.add_facts
+      | `Remove -> Datalog_engine.Incremental.remove_facts
+    in
+    let result =
+      maintain cnt ~limits ~plan:maintenance_plan ~on_change t.rules t.db
+        facts
+    in
+    Datalog_engine.Counters.add t.cnt cnt;
+    result
   end
   else begin
     (* base mode: the batch is plain tuple insertion / deletion *)
@@ -529,7 +562,6 @@ let recover_wal t path =
 
 let create config program =
   let positive = program_is_positive program in
-  let rules = Program.make (Program.rules program) in
   let idb = Program.idb program in
   let seed_idb_facts =
     if positive then
@@ -537,6 +569,7 @@ let create config program =
         (Program.facts program)
     else []
   in
+  let rules = Program.make ~facts:seed_idb_facts (Program.rules program) in
   let fresh () =
     if positive then saturate program
     else Ok (Database.of_facts (Program.facts program))

@@ -106,6 +106,10 @@ val db : t -> Datalog_storage.Database.t
 val pending : t -> int
 val cache : t -> Cache.t
 
+val counters : t -> Datalog_engine.Counters.t
+(** The join counters accumulated by every mutation's maintenance (and
+    replay) since {!create}. *)
+
 val wal_active : t -> bool
 (** Whether mutations are riding a write-ahead log. *)
 

@@ -51,10 +51,6 @@ let copy db =
   Pred.Tbl.iter (fun p r -> Pred.Tbl.add fresh p (Relation.copy r)) db;
   fresh
 
-let assign db ~from =
-  Pred.Tbl.reset db;
-  Pred.Tbl.iter (fun p r -> Pred.Tbl.add db p (Relation.copy r)) from
-
 let union_into ~src ~dst =
   let added = ref 0 in
   Pred.Tbl.iter

@@ -35,12 +35,6 @@ val total_facts : t -> int
 
 val copy : t -> t
 
-val assign : t -> from:t -> unit
-(** [assign db ~from] replaces the contents of [db] with a copy of
-    [from]'s, in place — the rollback half of a [copy]-backed
-    transaction.  Aliased references to [db]'s relations must be
-    re-fetched afterwards. *)
-
 val union_into : src:t -> dst:t -> int
 (** Insert every tuple of [src] into [dst]; returns how many were new. *)
 

@@ -143,6 +143,178 @@ let prop_incremental_remove_equals_recompute =
         in
         db_facts db = db_facts full)
 
+(* ------------------------------------------------------------------ *)
+(* Batches, protected IDB facts, compiled maintenance, rollback *)
+
+module G = QCheck.Gen
+module L = Datalog_engine.Limits
+
+let compiled = Datalog_engine.Plan.config ()
+
+(* A random positive program, sometimes with facts on its rule-head
+   predicates (which DRed must never over-delete). *)
+let program_with_idb_facts_gen =
+  G.(
+    let* program = Gen.positive_program_gen in
+    let* idb_facts =
+      list_size (int_range 0 4)
+        (pair (oneofl [ "p0"; "p1"; "p2" ]) (pair (int_bound 5) (int_bound 5)))
+    in
+    return
+      (Program.make
+         ~facts:
+           (Program.facts program
+           @ List.map
+               (fun (p, (a, b)) -> Atom.app p [ Term.int a; Term.int b ])
+               idb_facts)
+         (Program.rules program)))
+
+(* EDB atoms over the generators' domain: present in the program or not *)
+let edb_atoms_gen =
+  G.(
+    list_size (int_range 0 3)
+      (triple (oneofl [ "e"; "f" ]) (int_bound 6) (int_bound 6))
+    |> map (List.map (fun (p, a, b) -> Atom.app p [ Term.int a; Term.int b ])))
+
+(* A deletion batch: several program facts (EDB or IDB) plus atoms that
+   may be absent from the database. *)
+let deletion_batch program =
+  G.(
+    let facts = Array.of_list (Program.facts program) in
+    let* picks = list_size (int_range 1 4) (int_bound 1000) in
+    let* absent = edb_atoms_gen in
+    return
+      ((if facts = [||] then []
+        else List.map (fun i -> facts.(i mod Array.length facts)) picks)
+      @ absent))
+
+type batch = Add of Atom.t list | Remove of Atom.t list
+
+let print_case (program, batch, _) =
+  let atoms = function Add l -> ("add", l) | Remove l -> ("remove", l) in
+  let op, l = atoms batch in
+  Format.asprintf "%a@.%s %a" Program.pp program op
+    (Format.pp_print_list ~pp_sep:Format.pp_print_space Atom.pp)
+    l
+
+let case_gen =
+  G.(
+    let* program = program_with_idb_facts_gen in
+    let* batch =
+      oneof
+        [ map (fun l -> Add l) edb_atoms_gen;
+          map (fun l -> Remove l) (deletion_batch program)
+        ]
+    in
+    let* use_plan = bool in
+    return (program, batch, use_plan))
+
+let arb_case = QCheck.make ~print:print_case case_gen
+
+let apply ?limits ?plan cnt program db = function
+  | Add facts -> I.add_facts cnt ?limits ?plan program db facts
+  | Remove facts -> I.remove_facts cnt ?limits ?plan program db facts
+
+let recompute program = function
+  | Add facts ->
+    saturate
+      (Program.make ~facts:(Program.facts program @ facts)
+         (Program.rules program))
+  | Remove facts ->
+    let gone a = List.exists (Atom.equal a) facts in
+    saturate
+      (Program.make
+         ~facts:(List.filter (fun a -> not (gone a)) (Program.facts program))
+         (Program.rules program))
+
+let prop_dred_batches =
+  QCheck.Test.make
+    ~name:"DRed batches = recomputation; interpreted = compiled" ~count:60
+    (QCheck.make ~print:print_case
+       G.(
+         let* program = program_with_idb_facts_gen in
+         let* batch = deletion_batch program in
+         return (program, Remove batch, true)))
+    (fun (program, batch, _) ->
+      let expected = db_facts (recompute program batch) in
+      let run ?plan maintained =
+        let db = saturate program in
+        let c = cnt () in
+        match apply ?plan c maintained db batch with
+        | Error _ -> None
+        | Ok _ -> Some (db_facts db, c.Datalog_engine.Counters.facts_derived)
+      in
+      (* the compiled run gets only the rules plus the facts on rule-head
+         predicates, as the service passes them: DRed needs no others *)
+      let idb_only =
+        Program.make
+          ~facts:
+            (List.filter
+               (fun a -> Program.is_idb program (Atom.pred a))
+               (Program.facts program))
+          (Program.rules program)
+      in
+      match (run program, run ~plan:compiled idb_only) with
+      | Some (fi, di), Some (fc, dc) -> fi = expected && fc = expected && di = dc
+      | _ -> false)
+
+let prop_add_interpreted_equals_compiled =
+  QCheck.Test.make ~name:"additions: interpreted = compiled maintenance"
+    ~count:40
+    (QCheck.make ~print:print_case
+       G.(
+         let* program = program_with_idb_facts_gen in
+         let* adds = edb_atoms_gen in
+         return (program, Add adds, true)))
+    (fun (program, batch, _) ->
+      let run ?plan () =
+        let db = saturate program in
+        let c = cnt () in
+        match apply ?plan c program db batch with
+        | Error _ -> None
+        | Ok n -> Some (db_facts db, n, c.Datalog_engine.Counters.facts_derived)
+      in
+      match (run (), run ~plan:compiled ()) with
+      | (Some (f, _, _) as i), (Some _ as c) ->
+        i = c && f = db_facts (recompute program batch)
+      | _ -> false)
+
+(* Rollback restores the pre-state at every budget cut-off: with
+   [max_facts = k] for each [k] below the unbudgeted derivation count the
+   call must fail and leave exactly the pre-call facts, and a later
+   unbudgeted call on the same database must still reach the recomputed
+   state (the indexes survived the undo); from the count upwards the call
+   succeeds. *)
+let prop_rollback_every_cutoff =
+  QCheck.Test.make ~name:"rollback = pre-state at every budget cut-off"
+    ~count:40 arb_case
+    (fun (program, batch, use_plan) ->
+      let plan = if use_plan then Some compiled else None in
+      let expected = db_facts (recompute program batch) in
+      let saturated = saturate program in
+      let pre = db_facts saturated in
+      let derivations =
+        let c = cnt () in
+        match apply ?plan c program (Database.copy saturated) batch with
+        | Ok _ -> c.Datalog_engine.Counters.facts_derived
+        | Error _ -> -1
+      in
+      derivations >= 0
+      && List.for_all
+           (fun k ->
+             let db = Database.copy saturated in
+             match
+               apply ~limits:(L.make ~max_facts:k ()) ?plan (cnt ()) program
+                 db batch
+             with
+             | Ok _ -> k >= derivations && db_facts db = expected
+             | Error _ ->
+               k < derivations
+               && db_facts db = pre
+               && Result.is_ok (apply ?plan (cnt ()) program db batch)
+               && db_facts db = expected)
+           (List.init (derivations + 1) Fun.id))
+
 let suite =
   [ ( "incremental",
       [ Alcotest.test_case "add extends closure" `Quick test_add_extends_closure;
@@ -155,6 +327,9 @@ let suite =
     ( "incremental:properties",
       List.map QCheck_alcotest.to_alcotest
         [ prop_incremental_add_equals_recompute;
-          prop_incremental_remove_equals_recompute
+          prop_incremental_remove_equals_recompute;
+          prop_dred_batches;
+          prop_add_interpreted_equals_compiled;
+          prop_rollback_every_cutoff
         ] )
   ]

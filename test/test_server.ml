@@ -259,6 +259,16 @@ let test_mutation_validation_and_rollback () =
   check tint "database unchanged" before (Database.total_facts (Sup.db t));
   check tint "no transaction recorded" 0 (Sup.txn t)
 
+let test_fact_budget_is_per_request () =
+  let t = sup_exn (ancestor_program ()) in
+  (* derives anc(eve, fay) and three more: 4 facts *)
+  check tstr "unbudgeted add" "ok"
+    (status (handle t (env (P.Add [ atom "parent(eve, fay)" ]))));
+  (* derives 5 facts; the service has now derived 9 in all *)
+  let five = { P.no_budgets with P.max_facts = Some 5 } in
+  check tstr "a budget covering this request suffices" "ok"
+    (status (handle t (env ~budgets:five (P.Add [ atom "parent(fay, gus)" ]))))
+
 let test_partial_reply () =
   (* engine-mode query under a tight budget: partial answers, explicit
      reason, nothing cached *)
@@ -723,6 +733,82 @@ let test_e2e_overload_pipelined () =
   (try Unix.close fd with _ -> ());
   check tint "clean exit" 0 (wait_exit pid)
 
+(* ------------------------------------------------------------------ *)
+(* Per-request cost: O(change), not O(database) *)
+
+(* [chains] disjoint five-edge chains; chain [c] runs over 6c .. 6c+5. *)
+let forest_program chains =
+  let edge a b = Atom.app "edge" [ Term.int a; Term.int b ] in
+  Program.make
+    ~facts:
+      (List.concat
+         (List.init chains (fun c ->
+              List.init 5 (fun i -> edge ((6 * c) + i) ((6 * c) + i + 1)))))
+    [ rule "anc(X, Y) :- edge(X, Y).";
+      rule "anc(X, Y) :- edge(X, Z), anc(Z, Y)."
+    ]
+
+(* Run one request through admission and [process_one]; the reply and
+   the (probes, scanned) it cost. *)
+let process_counted t request =
+  let c = Sup.counters t in
+  let probes = c.Datalog_engine.Counters.probes
+  and scanned = c.Datalog_engine.Counters.scanned in
+  let now = Unix.gettimeofday () in
+  if Sup.submit t ~session:1 ~now (env request) <> Sup.Admitted then
+    Alcotest.fail "request not admitted";
+  match Sup.process_one t ~now with
+  | Some (_, reply, `Continue) ->
+    check tstr "request ok" "ok" (status reply);
+    ( reply,
+      ( c.Datalog_engine.Counters.probes - probes,
+        c.Datalog_engine.Counters.scanned - scanned ) )
+  | _ -> Alcotest.fail "no reply"
+
+let test_request_cost_is_o_change () =
+  let mutation_costs chains =
+    let t = sup_exn (forest_program chains) in
+    (* chain 0 grows a tail edge, then loses its middle edge *)
+    let added, add_cost = process_counted t (P.Add [ atom "edge(5, 100000)" ]) in
+    check tint "edge + 6 ancestors" 7 (answer_count added);
+    let removed, remove_cost =
+      process_counted t (P.Remove [ atom "edge(2, 3)" ])
+    in
+    check tint "edge + 3x4 ancestors" 13 (answer_count removed);
+    (t, add_cost, remove_cost)
+  in
+  let t, small_add, small_remove = mutation_costs 300 in
+  let _, large_add, large_remove = mutation_costs 3000 in
+  let cost = Alcotest.(pair int int) in
+  check tbool "an add does join work" true (fst small_add > 0);
+  check tbool "a remove does join work" true (fst small_remove > 0);
+  check cost "add: same probes/scanned at 10x the database" small_add
+    large_add;
+  check cost "remove: same probes/scanned at 10x the database" small_remove
+    large_remove;
+  (* a cycle for anc(X, X), and a re-insertion that moves edge(2, 3) to
+     the end of the insertion order *)
+  ignore (process_counted t (P.Add [ atom "edge(5, 0)" ]));
+  ignore (process_counted t (P.Add [ atom "edge(2, 3)" ]));
+  (* cache misses answer from an index lookup, in the order (and with
+     the contents) of the full scan they replace *)
+  List.iter
+    (fun text ->
+      let goal = atom text in
+      let reply, _ = process_counted t (P.Query { goal; engine = false }) in
+      check tbool (text ^ " is a miss") false (cached reply);
+      let scan =
+        List.filter (Tuple.matches goal)
+          (Database.tuples (Sup.db t) (Atom.pred goal))
+      in
+      let expected =
+        P.answers_reply ~id:(Json.Int 1) ~goal ~answers:scan ~cached:false
+          ~complete:true ~reason:None ~txn:0 ~wall_s:0.
+      in
+      check tbool (text ^ " has answers") true (scan <> []);
+      check (Alcotest.list tstr) text (answers expected) (answers reply))
+    [ "anc(1, X)"; "anc(X, 4)"; "anc(X, X)"; "anc(X, Y)" ]
+
 let suite =
   [ ( "server",
       [ Alcotest.test_case "protocol parse" `Quick test_parse_roundtrip;
@@ -736,6 +822,8 @@ let suite =
           test_query_cache_and_invalidation;
         Alcotest.test_case "mutation validation + rollback" `Quick
           test_mutation_validation_and_rollback;
+        Alcotest.test_case "fact budget is per request" `Quick
+          test_fact_budget_is_per_request;
         Alcotest.test_case "partial reply under budget" `Quick
           test_partial_reply;
         Alcotest.test_case "negation program, base mode" `Quick
@@ -756,6 +844,8 @@ let suite =
           test_recovery_lenient_fallback;
         Alcotest.test_case "e2e session + restart" `Quick
           test_e2e_session_and_restart;
-        Alcotest.test_case "e2e overload" `Quick test_e2e_overload_pipelined
+        Alcotest.test_case "e2e overload" `Quick test_e2e_overload_pipelined;
+        Alcotest.test_case "request cost is O(change)" `Quick
+          test_request_cost_is_o_change
       ] )
   ]
