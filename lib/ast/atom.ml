@@ -68,14 +68,20 @@ let hash a =
       (acc * 31) + h)
     (Pred.hash a.pred) a.args
 
+(* Direct calls rather than a ["%a(%a)"] format: answers are printed
+   through here, once per atom. *)
 let pp ppf a =
-  if arity a = 0 then Pred.pp_name ppf a.pred
-  else
-    Format.fprintf ppf "%a(%a)" Pred.pp_name a.pred
-      (Format.pp_print_array
-         ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-         Term.pp)
-      a.args
+  Pred.pp_name ppf a.pred;
+  let n = Array.length a.args in
+  if n > 0 then begin
+    Format.pp_print_char ppf '(';
+    Term.pp ppf a.args.(0);
+    for i = 1 to n - 1 do
+      Format.pp_print_string ppf ", ";
+      Term.pp ppf a.args.(i)
+    done;
+    Format.pp_print_char ppf ')'
+  end
 
 module Ord = struct
   type nonrec t = t

@@ -153,9 +153,10 @@ let check ?(sips = Sips.Left_to_right) program query =
       match Database.find db pred with
       | None -> Tuple.Set.empty
       | Some rel ->
+        let p = Tuple.pattern pattern in
         Relation.fold
           (fun t acc ->
-            if Tuple.matches pattern t then Tuple.Set.add t acc else acc)
+            if Tuple.pattern_matches p t then Tuple.Set.add t acc else acc)
           rel Tuple.Set.empty
     in
     let answers_match_query =

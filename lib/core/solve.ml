@@ -61,21 +61,21 @@ let incomplete report =
 
 let ( let* ) r f = Result.bind r f
 
-(* Tuples of [pred] in [db] matching the (possibly non-ground) [pattern]. *)
+(* Tuples of [pred] in [db] matching the (possibly non-ground) [pattern].
+   The index lookup already selects the constants, so the pattern is only
+   tested when a repeated variable constrains two columns. *)
 let matching_tuples db pred pattern =
   match Database.find db pred with
   | None -> []
   | Some rel ->
-    let bindings = ref [] in
-    Array.iteri
-      (fun i t ->
-        match t with
-        | Term.Const v -> bindings := (i, Code.of_value v) :: !bindings
-        | Term.Var _ -> ())
-      (Atom.args pattern);
-    Relation.select rel !bindings
-    |> List.filter (Tuple.matches pattern)
-    |> List.sort Tuple.compare
+    let p = Tuple.pattern pattern in
+    let tuples = Relation.select rel (Tuple.bindings p) in
+    let tuples =
+      if Tuple.has_repeated_var p then
+        List.filter (Tuple.pattern_matches p) tuples
+      else tuples
+    in
+    List.sort Tuple.compare tuples
 
 let matching_atoms atoms pattern =
   List.filter

@@ -335,21 +335,16 @@ let base_atoms t =
 
 (* The stored tuples matching [goal], in insertion order: an index lookup
    on the constant columns (hash buckets are newest first, hence the
-   reversing filter), then a filter for repeated variables. *)
+   reversal), then a filter for repeated variables. *)
 let select_matching rel goal =
-  let bindings =
-    List.concat
-      (List.mapi
-         (fun i arg ->
-           match arg with
-           | Term.Const v -> [ (i, Code.of_value v) ]
-           | Term.Var _ -> [])
-         (Array.to_list (Atom.args goal)))
+  let p = Tuple.pattern goal in
+  let tuples =
+    match Tuple.bindings p with
+    | [] -> Relation.to_list rel
+    | bindings -> List.rev (Relation.select rel bindings)
   in
-  let keep acc tuple = if Tuple.matches goal tuple then tuple :: acc else acc in
-  match bindings with
-  | [] -> List.filter (Tuple.matches goal) (Relation.to_list rel)
-  | _ -> List.fold_left keep [] (Relation.select rel bindings)
+  if Tuple.has_repeated_var p then List.filter (Tuple.pattern_matches p) tuples
+  else tuples
 
 let limits_of t budgets ~now ~deadline =
   let dflt = t.config.default_budgets in

@@ -37,19 +37,28 @@ type sorted = {
   mutable stale : bool;
 }
 
-(* Tuples live in a growable array in insertion order; [slots] maps each
-   live tuple to its array slot.  A removal tombstones the slot ([None])
-   instead of rebuilding a list, and the array is compacted once
-   tombstones dominate.  Index buckets are tombstoned too: [remove] only
-   decrements a per-bucket live count, and dead entries are filtered out
-   the next time the bucket is read — the reader walks the whole bucket
-   anyway, so the filter costs nothing asymptotically and [remove] is
-   O(#indexes) outright. *)
+(* Tuples live in [order], a growable array in insertion order; a removal
+   overwrites the slot with the physical sentinel [tombstone] instead of
+   shifting the array, which is compacted once tombstones dominate.
+   [table] is an open-addressed set over the live slots.  An entry packs
+   the low 31 bits of the tuple's hash (its tag) above its 31-bit slot in
+   [order]; [-1] is empty.  Linear probing over a power-of-two capacity
+   kept at most half full, with backward-shift deletion, so the table
+   never holds tombstones.  A probe compares tags before it touches a
+   tuple, and the tag is also what locates an entry's home when the
+   table grows or shifts, so no tuple is ever rehashed.
+
+   Index buckets are tombstoned too: [remove] only decrements a
+   per-bucket live count, and dead entries are filtered out the next time
+   the bucket is read — the reader walks the whole bucket anyway, so the
+   filter costs nothing asymptotically and [remove] is O(#indexes)
+   outright. *)
 type t = {
   name : string;
   arity : int;
-  slots : int Tuple.Tbl.t;
-  mutable order : Tuple.t option array;
+  mutable table : int array;  (* [tag lsl 31 lor slot], [-1] = empty *)
+  mutable mask : int;  (* [Array.length table - 1] *)
+  mutable order : Tuple.t array;  (* [tombstone] marks removed slots *)
   mutable filled : int;  (* slots in use, live or tombstoned *)
   mutable size : int;  (* live tuples *)
   indexes : (int list, index) Hashtbl.t;
@@ -57,10 +66,20 @@ type t = {
   mutable generation : int;  (* bumped whenever indexes are invalidated *)
 }
 
+(* Physically distinct from every stored tuple: it is never handed out.
+   Not [[||]], which all arity-0 tuples share. *)
+let tombstone : Tuple.t = Array.make 1 0
+
+let slot_bits = 31
+let low = (1 lsl slot_bits) - 1  (* a slot, or a tag *)
+let tag_of tuple = Tuple.hash tuple land low
+let min_entries = 16
+
 let create ?(name = "?") arity =
   { name;
     arity;
-    slots = Tuple.Tbl.create 64;
+    table = Array.make min_entries (-1);
+    mask = min_entries - 1;
     order = [||];
     filled = 0;
     size = 0;
@@ -71,13 +90,56 @@ let create ?(name = "?") arity =
 
 let arity r = r.arity
 
-(* Drop dead tuples from a bucket.  Liveness is membership in [slots],
-   which is why [insert] must register index entries *before* slots: a
-   remove-then-reinsert of the same tuple would otherwise see its own
+(* The position of the entry holding [tuple] (tag [tag]), or [-1 - p]
+   where [p] is the empty entry that ends its probe run. *)
+let rec find_entry r tuple tag p =
+  let e = Array.unsafe_get r.table p in
+  if e < 0 then -1 - p
+  else if e lsr slot_bits = tag && Tuple.equal r.order.(e land low) tuple
+  then p
+  else find_entry r tuple tag ((p + 1) land r.mask)
+
+let mem r tuple =
+  let tag = tag_of tuple in
+  find_entry r tuple tag (tag land r.mask) >= 0
+
+(* Move every entry into a fresh table of [entries] entries. *)
+let rehash r entries =
+  let old = r.table in
+  let mask = entries - 1 in
+  let table = Array.make entries (-1) in
+  let rec place e p =
+    if table.(p) < 0 then table.(p) <- e else place e ((p + 1) land mask)
+  in
+  Array.iter (fun e -> if e >= 0 then place e ((e lsr slot_bits) land mask)) old;
+  r.table <- table;
+  r.mask <- mask
+
+(* Backward-shift deletion: empty entry [p], then walk the rest of its
+   run, moving back into the hole every entry whose home is not
+   cyclically within (hole, entry]. *)
+let rec shift_back r hole p =
+  let q = (p + 1) land r.mask in
+  let e = r.table.(q) in
+  if e < 0 then r.table.(hole) <- -1
+  else
+    let home = (e lsr slot_bits) land r.mask in
+    let stays =
+      if hole <= q then hole < home && home <= q else hole < home || home <= q
+    in
+    if stays then shift_back r hole q
+    else begin
+      r.table.(hole) <- e;
+      shift_back r q q
+    end
+
+(* Drop dead tuples from a bucket.  Liveness is membership in [table],
+   which is why [insert] must register index entries *before* the table:
+   a remove-then-reinsert of the same tuple would otherwise see its own
    fresh copy as live while the dead one still sits in the bucket. *)
 let bucket_compact r idx b =
   if b.dead > 0 then begin
-    b.tuples <- List.filter (fun t -> Tuple.Tbl.mem r.slots t) b.tuples;
+    b.tuples <- List.filter (mem r) b.tuples;
     idx.idead <- idx.idead - b.dead;
     b.dead <- 0
   end
@@ -98,7 +160,9 @@ let index_add r idx tuple =
 let grow r =
   let cap = Array.length r.order in
   let cap' = if cap = 0 then 16 else 2 * cap in
-  let order' = Array.make cap' None in
+  if cap' > low + 1 then
+    failwith (Printf.sprintf "Relation(%s): more than 2^31 slots" r.name);
+  let order' = Array.make cap' tombstone in
   Array.blit r.order 0 order' 0 cap;
   r.order <- order'
 
@@ -107,44 +171,59 @@ let insert r tuple =
     invalid_arg
       (Printf.sprintf "Relation.insert(%s): arity %d, tuple of width %d"
          r.name r.arity (Array.length tuple));
-  if Tuple.Tbl.mem r.slots tuple then false
+  let tag = tag_of tuple in
+  let e = find_entry r tuple tag (tag land r.mask) in
+  if e >= 0 then false
   else begin
-    (* indexes before slots: see [bucket_compact] *)
-    Hashtbl.iter (fun _ idx -> index_add r idx tuple) r.indexes;
-    Hashtbl.iter
-      (fun _ s ->
-        if not s.stale then begin
-          s.pending <- tuple :: s.pending;
-          s.npending <- s.npending + 1
-        end)
-      r.sorted_idx;
+    (* indexes before the table: see [bucket_compact].  The length tests
+       spare the iterator closures on relations with nothing to maintain,
+       such as every delta. *)
+    if Hashtbl.length r.indexes > 0 then
+      Hashtbl.iter (fun _ idx -> index_add r idx tuple) r.indexes;
+    if Hashtbl.length r.sorted_idx > 0 then
+      Hashtbl.iter
+        (fun _ s ->
+          if not s.stale then begin
+            s.pending <- tuple :: s.pending;
+            s.npending <- s.npending + 1
+          end)
+        r.sorted_idx;
     if r.filled = Array.length r.order then grow r;
-    r.order.(r.filled) <- Some tuple;
-    Tuple.Tbl.add r.slots tuple r.filled;
+    r.table.(-1 - e) <- (tag lsl slot_bits) lor r.filled;
+    r.order.(r.filled) <- tuple;
     r.filled <- r.filled + 1;
     r.size <- r.size + 1;
+    if 2 * r.size > r.mask + 1 then rehash r (2 * (r.mask + 1));
     true
   end
 
+(* Squeeze the tombstones out of [order] and renumber the table's slots
+   to match: [remap] sends each old live slot to its new one. *)
 let compact r =
+  let remap = Array.make r.filled (-1) in
   let j = ref 0 in
   for i = 0 to r.filled - 1 do
-    match r.order.(i) with
-    | None -> ()
-    | Some tuple as slot ->
-      r.order.(!j) <- slot;
-      Tuple.Tbl.replace r.slots tuple !j;
+    let tuple = r.order.(i) in
+    if tuple != tombstone then begin
+      r.order.(!j) <- tuple;
+      remap.(i) <- !j;
       incr j
+    end
   done;
-  Array.fill r.order !j (r.filled - !j) None;
-  r.filled <- !j
+  Array.fill r.order !j (r.filled - !j) tombstone;
+  r.filled <- !j;
+  Array.iteri
+    (fun p e ->
+      if e >= 0 then r.table.(p) <- (e land lnot low) lor remap.(e land low))
+    r.table
 
 let remove r tuple =
-  match Tuple.Tbl.find_opt r.slots tuple with
-  | None -> false
-  | Some slot ->
-    Tuple.Tbl.remove r.slots tuple;
-    r.order.(slot) <- None;
+  let tag = tag_of tuple in
+  let p = find_entry r tuple tag (tag land r.mask) in
+  if p < 0 then false
+  else begin
+    r.order.(r.table.(p) land low) <- tombstone;
+    shift_back r p p;
     r.size <- r.size - 1;
     Hashtbl.iter
       (fun _ idx ->
@@ -173,27 +252,30 @@ let remove r tuple =
       r.sorted_idx;
     if r.filled > 64 && r.filled > 2 * r.size then compact r;
     true
+  end
 
-let mem r tuple = Tuple.Tbl.mem r.slots tuple
 let cardinal r = r.size
 let is_empty r = r.size = 0
 
 let iter f r =
   for i = 0 to r.filled - 1 do
-    match r.order.(i) with None -> () | Some tuple -> f tuple
+    let tuple = r.order.(i) in
+    if tuple != tombstone then f tuple
   done
 
 let fold f r init =
   let acc = ref init in
   for i = 0 to r.filled - 1 do
-    match r.order.(i) with None -> () | Some tuple -> acc := f tuple !acc
+    let tuple = r.order.(i) in
+    if tuple != tombstone then acc := f tuple !acc
   done;
   !acc
 
 let to_list r =
   let acc = ref [] in
   for i = r.filled - 1 downto 0 do
-    match r.order.(i) with None -> () | Some tuple -> acc := tuple :: !acc
+    let tuple = r.order.(i) in
+    if tuple != tombstone then acc := tuple :: !acc
   done;
   !acc
 
@@ -379,11 +461,11 @@ let refresh_sorted r s =
     let rows = Array.make r.size ([||] : Tuple.t) in
     let j = ref 0 in
     for i = r.filled - 1 downto 0 do
-      match r.order.(i) with
-      | None -> ()
-      | Some t ->
+      let t = r.order.(i) in
+      if t != tombstone then begin
         rows.(!j) <- t;
         incr j
+      end
     done;
     Array.stable_sort (key_compare s.scols) rows;
     s.srows <- rows;
@@ -483,13 +565,20 @@ let sorted_view r a =
   refresh_sorted r s;
   { sv_rows = s.srows; sv_keys = s.skeys; sv_len = s.slen }
 
+(* The table's slot numbers stay valid because [order] is copied slot
+   for slot, tombstones included: no tuple is rehashed. *)
 let copy r =
-  let fresh = create ~name:r.name r.arity in
-  iter (fun t -> ignore (insert fresh t)) r;
-  fresh
+  { (create ~name:r.name r.arity) with
+    table = Array.copy r.table;
+    mask = r.mask;
+    order = Array.sub r.order 0 r.filled;
+    filled = r.filled;
+    size = r.size
+  }
 
 let clear r =
-  Tuple.Tbl.reset r.slots;
+  r.table <- Array.make min_entries (-1);
+  r.mask <- min_entries - 1;
   r.order <- [||];
   r.filled <- 0;
   r.size <- 0;

@@ -23,21 +23,25 @@ val insert : t -> Tuple.t -> bool
     @raise Invalid_argument on arity mismatch. *)
 
 val remove : t -> Tuple.t -> bool
-(** Delete a tuple; returns [true] iff it was present.  O(#indexes):
-    the insertion-order slot is tombstoned (and the array compacted once
-    tombstones dominate), and each index bucket merely counts the
-    deletion — dead entries are filtered out the next time the bucket is
-    read, which the reader pays nothing extra for since it walks the
-    bucket anyway.  A bucket emptied by deletions is removed rather than
-    left behind.  Sorted projections are marked stale and rebuilt on
-    their next read. *)
+(** Delete a tuple; returns [true] iff it was present.  O(#indexes)
+    amortized: the tuple's entry leaves the open-addressed slot table by
+    backward-shift deletion (the table never holds tombstones), its
+    insertion-order slot is overwritten with a private sentinel (and the
+    order array compacted once sentinels outnumber live tuples), and each
+    index bucket merely counts the deletion — dead entries are filtered
+    out the next time the bucket is read, which the reader pays nothing
+    extra for since it walks the bucket anyway.  A bucket emptied by
+    deletions is removed rather than left behind.  Sorted projections
+    are marked stale and rebuilt on their next read. *)
 
 val mem : t -> Tuple.t -> bool
 val cardinal : t -> int
 val is_empty : t -> bool
 
 val iter : (Tuple.t -> unit) -> t -> unit
-(** Iterate in insertion order (deterministic); does not allocate. *)
+(** Iterate in insertion order (deterministic), walking the flat order
+    array and skipping removed slots; does not allocate.  Tuples inserted
+    by [f] during the walk are not visited. *)
 
 val fold : (Tuple.t -> 'a -> 'a) -> t -> 'a -> 'a
 (** Fold in insertion order, allocation-free (beyond what [f] allocates). *)
@@ -127,7 +131,9 @@ val sorted_view : t -> sorted_access -> sorted_view
     mutated; they are valid until the next mutation of [r]. *)
 
 val copy : t -> t
-(** A fresh relation with the same tuples (indexes are not copied). *)
+(** A fresh relation with the same tuples in the same insertion order.
+    The order array and the slot table are copied as they are, so no
+    tuple is rehashed; indexes and sorted projections are not copied. *)
 
 val clear : t -> unit
 

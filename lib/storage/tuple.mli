@@ -15,6 +15,9 @@ val compare : t -> t -> int
     so sorted tuple listings are stable across processes. *)
 
 val hash : t -> int
+(** A multiplicative mixing hash, non-negative; [equal a b] implies
+    [hash a = hash b].  Its low bits are well spread, so power-of-two
+    tables may index by [hash t land mask]. *)
 
 val encode : Value.t array -> t
 val decode : t -> Value.t array
@@ -25,10 +28,29 @@ val of_atom : Atom.t -> t
 val to_atom : Pred.t -> t -> Atom.t
 (** Decode a stored tuple back to a ground atom (boundary only). *)
 
+type pattern
+(** The argument pattern of a (possibly non-ground) atom, compiled once:
+    its constant columns and the pairs of columns a repeated variable
+    forces equal.  Testing a tuple against it allocates nothing. *)
+
+val pattern : Atom.t -> pattern
+(** The predicate of the atom is not consulted. *)
+
+val pattern_matches : pattern -> t -> bool
+(** Constants must coincide and repeated variables must take equal
+    values; the tuple's width must be the pattern's. *)
+
+val bindings : pattern -> (int * Code.t) list
+(** The constant columns with their codes, in ascending column order —
+    the argument {!Relation.select} takes. *)
+
+val has_repeated_var : pattern -> bool
+(** Whether some variable occurs twice.  When it does not, every tuple of
+    the right width that agrees with {!bindings} matches. *)
+
 val matches : Atom.t -> t -> bool
-(** [matches pattern t] — does [t] match the argument pattern of
-    [pattern]?  Constants must coincide and repeated variables must take
-    equal values; the predicate of [pattern] is not consulted. *)
+(** [matches pattern] is [pattern_matches (pattern pattern)]: partially
+    applied (e.g. to [List.filter]) it compiles the pattern once. *)
 
 val project : int array -> t -> t
 (** [project cols t] extracts the listed columns, in order. *)

@@ -397,6 +397,236 @@ let test_relation_compaction_preserves_order () =
   check tbool "mem after compaction" true (Relation.mem r (tup [ 1000 ]));
   check tbool "removed stay removed" false (Relation.mem r (tup [ 0 ]))
 
+(* ------------------------------------------------------------------ *)
+(* Tuple hashing, ordering and patterns                                *)
+
+(* Ints on both sides of the small-int boundary (the larger ones are
+   dictionary-coded), negative ones included, and symbols with names no
+   other suite interns. *)
+let gen_value =
+  let small_max = max_int asr 1 in
+  QCheck.Gen.(
+    frequency
+      [ (4, map (fun i -> Value.Int i) (int_range (-5) 5));
+        ( 2,
+          map
+            (fun i -> Value.Int i)
+            (oneofl
+               [ small_max; small_max + 1; -small_max - 1; -small_max - 2;
+                 max_int; min_int; max_int - 1 ]) );
+        (3, map (fun s -> Value.Sym (Symbol.intern s)) (oneofl [ "tq_a"; "tq_b"; "tq_c" ]))
+      ])
+
+let gen_values = QCheck.Gen.(list_size (int_bound 3) gen_value)
+
+(* Property: [Tuple.compare] is the width-first, then lexicographic
+   {!Value.compare} order of the decoded tuples. *)
+let prop_tuple_compare_is_value_order =
+  QCheck.Test.make ~name:"Tuple.compare is lexicographic Value.compare"
+    ~count:1000
+    (QCheck.make QCheck.Gen.(pair gen_values gen_values))
+    (fun (a, b) ->
+      let sign c = Int.compare c 0 in
+      let rec lex = function
+        | x :: xs, y :: ys ->
+          let c = Value.compare x y in
+          if c <> 0 then c else lex (xs, ys)
+        | _ -> 0
+      in
+      let expect =
+        let c = Int.compare (List.length a) (List.length b) in
+        if c <> 0 then c else lex (a, b)
+      in
+      let ta = Tuple.encode (Array.of_list a)
+      and tb = Tuple.encode (Array.of_list b) in
+      sign (Tuple.compare ta tb) = sign expect
+      && Tuple.equal ta tb = (expect = 0))
+
+(* Property: equal tuples hash equally, whether or not they share the
+   array, and across an encode/decode round trip. *)
+let prop_tuple_equal_implies_hash =
+  QCheck.Test.make ~name:"Tuple.equal a b implies equal hashes" ~count:1000
+    (QCheck.make QCheck.Gen.(pair gen_values gen_values))
+    (fun (a, b) ->
+      let ta = Tuple.encode (Array.of_list a)
+      and tb = Tuple.encode (Array.of_list b) in
+      let copy = Tuple.encode (Tuple.decode ta) in
+      Tuple.hash ta >= 0
+      && Tuple.hash ta = Tuple.hash copy
+      && ((not (Tuple.equal ta tb)) || Tuple.hash ta = Tuple.hash tb))
+
+(* The pairs of a 1000-chain closure are all odd codes; the additive
+   hash gave them 31,504 distinct values mod 2^20, a random one about
+   397,600. *)
+let test_tuple_hash_spread () =
+  let seen = Bytes.make (1 lsl 20) '\000' in
+  let distinct = ref 0 in
+  for i = 0 to 1000 do
+    for j = i + 1 to 1000 do
+      let h = Tuple.hash (tup [ i; j ]) land ((1 lsl 20) - 1) in
+      if Bytes.get seen h = '\000' then begin
+        Bytes.set seen h '\001';
+        incr distinct
+      end
+    done
+  done;
+  check tbool
+    (Printf.sprintf "%d distinct hashes mod 2^20 (>= 380000)" !distinct)
+    true (!distinct >= 380_000)
+
+(* Property: compiled patterns agree with one-sided unification. *)
+let prop_pattern_agrees_with_unify =
+  let gen_term =
+    QCheck.Gen.(
+      frequency
+        [ (2, map (fun i -> Term.int i) (int_bound 2));
+          (2, map Term.var (oneofl [ "X"; "Y" ]));
+          (1, return (Term.var "Z"))
+        ])
+  in
+  let gen =
+    QCheck.Gen.(
+      let* n = int_bound 4 in
+      let* args = list_repeat n gen_term in
+      let* values = list_repeat n (int_bound 2) in
+      return (args, values))
+  in
+  QCheck.Test.make ~name:"Tuple.matches agrees with Unify.matches" ~count:500
+    (QCheck.make gen) (fun (args, values) ->
+      let pattern = Atom.app "tq_p" args in
+      let ground = Atom.app "tq_p" (List.map Term.int values) in
+      let p = Tuple.pattern pattern in
+      let t = Tuple.of_atom ground in
+      let expect = Option.is_some (Unify.matches ~pattern ~ground) in
+      let repeated =
+        List.length (Atom.vars pattern) > List.length (Atom.var_set pattern)
+      in
+      let agrees_on_bindings =
+        List.for_all (fun (i, c) -> Code.equal t.(i) c) (Tuple.bindings p)
+      in
+      Tuple.matches pattern t = expect
+      && Tuple.pattern_matches p t = expect
+      && Tuple.has_repeated_var p = repeated
+      (* without a repeated variable, the constants decide *)
+      && (repeated || agrees_on_bindings = expect))
+
+(* ------------------------------------------------------------------ *)
+(* The open-addressed slot table under long churn                      *)
+
+(* Property: a model test over thousands of operations.  Keys range
+   over 40 x 40 tuples; an insert-heavy phase (80% inserts) grows the
+   table through several resizes, a remove-heavy phase (90% removes)
+   crosses the order array's compaction threshold again and again, and
+   a mixed phase re-inserts removed tuples.  At checkpoints the relation, and a copy of it, must
+   agree with the model on membership, cardinality, insertion order,
+   [select] and [probe]. *)
+let prop_slot_table_churn =
+  let phases = [ (2500, 8); (2000, 1); (1500, 5) ] in
+  let n_ops = List.fold_left (fun acc (n, _) -> acc + n) 0 phases in
+  let gen =
+    QCheck.Gen.(list_repeat n_ops (triple (int_bound 9) (int_bound 39) (int_bound 39)))
+  in
+  QCheck.Test.make ~name:"slot table agrees with model under long churn"
+    ~count:4 (QCheck.make gen) (fun ops ->
+      let r = Relation.create 2 in
+      ignore (Relation.select r [ (1, Code.of_int 0) ]);
+      let acc = Relation.prepare [ 0 ] in
+      (* live tuple -> insertion sequence number *)
+      let model : (int * int, int) Hashtbl.t = Hashtbl.create 64 in
+      let seq = ref 0 in
+      let ok = ref true in
+      let expect_order () =
+        Hashtbl.fold (fun k s acc -> (s, k) :: acc) model []
+        |> List.sort compare
+        |> List.map (fun (_, (a, b)) -> tup [ a; b ])
+      in
+      let agrees r order =
+        let key = Code.of_int 7 in
+        let col0 = List.filter (fun t -> Code.equal t.(0) key) order in
+        let col1 = List.filter (fun t -> Code.equal t.(1) key) order in
+        let bucket, n = Relation.probe r acc [| key |] in
+        Relation.cardinal r = List.length order
+        && List.equal Tuple.equal (Relation.to_list r) order
+        && List.for_all (Relation.mem r) order
+        && n = List.length col0
+        && List.equal Tuple.equal bucket (List.rev col0)
+        && List.equal Tuple.equal
+             (Relation.select r [ (1, key) ])
+             (List.rev col1)
+      in
+      let checkpoint () =
+        let order = expect_order () in
+        if not (agrees r order) then ok := false;
+        (* a copy has the same contents and order, and is independent *)
+        let c = Relation.copy r in
+        if not (agrees c order) then ok := false;
+        let fresh = tup [ 1000; 1000 ] in
+        if not (Relation.insert c fresh) then ok := false;
+        (match order with
+        | t :: _ -> if not (Relation.remove c t) then ok := false
+        | [] -> ());
+        if Relation.mem r fresh || not (agrees r order) then ok := false
+      in
+      let i = ref 0 in
+      let rec bias k = function
+        | [] -> 5
+        | (n, b) :: rest -> if k < n then b else bias (k - n) rest
+      in
+      List.iter
+        (fun (kind, a, b) ->
+          let t = tup [ a; b ] in
+          let present = Hashtbl.mem model (a, b) in
+          if Relation.mem r t <> present then ok := false;
+          if kind < bias !i phases then begin
+            if Relation.insert r t = present then ok := false;
+            if not present then begin
+              Hashtbl.replace model (a, b) !seq;
+              incr seq
+            end
+          end
+          else begin
+            if Relation.remove r t <> present then ok := false;
+            Hashtbl.remove model (a, b)
+          end;
+          incr i;
+          if !i mod 500 = 0 then checkpoint ())
+        ops;
+      checkpoint ();
+      !ok)
+
+(* The answer printer must keep the bytes of the format-string printer
+   it replaced. *)
+let test_atom_pp_golden () =
+  let old_pp ppf a =
+    if Atom.arity a = 0 then Pred.pp_name ppf (Atom.pred a)
+    else
+      Format.fprintf ppf "%a(%a)" Pred.pp_name (Atom.pred a)
+        (Format.pp_print_array
+           ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
+           Term.pp)
+        (Atom.args a)
+  in
+  let big = Tuple.encode [| Value.Int max_int; Value.Int min_int |] in
+  let cases =
+    [ (Atom.app "tq_zero" [], "tq_zero");
+      (Atom.app "tq_neg" [ Term.int (-3); Term.int 0 ], "tq_neg(-3, 0)");
+      ( Tuple.to_atom (Pred.make "tq_big" 2) big,
+        Printf.sprintf "tq_big(%d, %d)" max_int min_int );
+      (Atom.app "tq_sym" [ Term.sym "tq_s" ], "tq_sym(tq_s)");
+      ( Atom.app "tq_var" [ Term.var "X"; Term.sym "tq_s"; Term.var "Y1" ],
+        "tq_var(X, tq_s, Y1)" )
+    ]
+  in
+  List.iter
+    (fun (a, golden) ->
+      let printed = Format.asprintf "%a" Atom.pp a in
+      check Alcotest.string "golden" golden printed;
+      check Alcotest.string "same as the format-string printer"
+        (Format.asprintf "%a" old_pp a) printed)
+    cases;
+  check tbool "big ints are dictionary-coded" true
+    (Array.for_all (fun c -> not (Code.fits_small (Code.to_int c))) big)
+
 let suite =
   [ ( "storage",
       [ Alcotest.test_case "tuple equal/hash" `Quick test_tuple_equal_hash;
@@ -419,13 +649,19 @@ let suite =
           test_relation_compaction_preserves_order;
         Alcotest.test_case "database basics" `Quick test_database_basics;
         Alcotest.test_case "database of_facts" `Quick test_database_of_facts_atoms;
-        Alcotest.test_case "database copy" `Quick test_database_copy_independent
+        Alcotest.test_case "database copy" `Quick test_database_copy_independent;
+        Alcotest.test_case "tuple hash spread" `Quick test_tuple_hash_spread;
+        Alcotest.test_case "atom pp golden" `Quick test_atom_pp_golden
       ] );
     ( "storage:properties",
       List.map QCheck_alcotest.to_alcotest
         [ prop_select_agrees_with_scan;
           prop_index_creation_point_irrelevant;
           prop_select_under_churn;
-          prop_sorted_and_probe_under_churn
+          prop_sorted_and_probe_under_churn;
+          prop_tuple_compare_is_value_order;
+          prop_tuple_equal_implies_hash;
+          prop_pattern_agrees_with_unify;
+          prop_slot_table_churn
         ] )
   ]
