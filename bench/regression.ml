@@ -2,7 +2,7 @@
    committed BENCH_baseline.json, per workload x strategy cell.
 
    Usage:  dune exec bench/regression.exe -- BASELINE CANDIDATE
-             [--tolerance PCT] [--alloc-tolerance PCT] [--ignore COUNTER]...
+             [--tolerance PCT] [--alloc-tolerance PCT]
 
    The join-work counters (probes, scanned, firings, merge_steps,
    gallops) are deterministic for a given engine, so any growth is a real
@@ -13,17 +13,12 @@
    gauge (minor_words, GC-reported) is close to deterministic but moves
    with compiler/runtime details, so it gets its own laxer tolerance
    (default 25%); baselines predating the gauge simply don't gate on it.
-   [--ignore COUNTER] (repeatable) drops a counter from the gated list —
-   the parallel-parity CI job uses it for [gallops], whose adaptive
-   galloping cursors legitimately differ when a merge join's outer side
-   is sharded across domains.
    Exit code 1 on any regression, 2 on unreadable/mismatched inputs. *)
 
 module J = Datalog_engine.Json
 
 let tolerance = ref 5.0
 let alloc_tolerance = ref 25.0
-let ignored = ref []
 
 let die code fmt = Printf.ksprintf (fun msg -> prerr_endline msg; exit code) fmt
 
@@ -55,8 +50,7 @@ let as_list path = function
   | J.List l -> l
   | _ -> die 2 "%s: expected a list" path
 
-let all_gated = [ "probes"; "scanned"; "firings"; "merge_steps"; "gallops" ]
-let gated () = List.filter (fun c -> not (List.mem c !ignored)) all_gated
+let gated = [ "probes"; "scanned"; "firings"; "merge_steps"; "gallops" ]
 
 (* (workload, strategy) ->
    (counter name -> value) for the gated counters, plus the allocation
@@ -75,7 +69,7 @@ let cells path doc =
               (fun c ->
                 Option.map (fun v -> (c, v))
                   (Option.bind (J.member c totals) as_int))
-              (gated ())
+              gated
           in
           let alloc = Option.bind (J.member "minor_words" report) as_float in
           Hashtbl.replace tbl (wname, sname) (counters, alloc))
@@ -97,12 +91,6 @@ let () =
       | Some t when t >= 0. -> alloc_tolerance := t
       | _ -> die 2 "--alloc-tolerance expects a non-negative number");
       parse_args rest
-    | "--ignore" :: counter :: rest ->
-      if not (List.mem counter all_gated) then
-        die 2 "--ignore: unknown counter %S (gated: %s)" counter
-          (String.concat ", " all_gated);
-      ignored := counter :: !ignored;
-      parse_args rest
     | a :: rest ->
       positional := a :: !positional;
       parse_args rest
@@ -114,9 +102,8 @@ let () =
     | _ ->
       die 2
         "usage: regression BASELINE CANDIDATE [--tolerance PCT] \
-         [--alloc-tolerance PCT] [--ignore COUNTER]..."
+         [--alloc-tolerance PCT]"
   in
-  let gated = gated () in
   let base = cells baseline_path (read_json baseline_path) in
   let cand = cells candidate_path (read_json candidate_path) in
   let rows = ref [] in

@@ -4,7 +4,7 @@ type t = { id : int; name : string }
    may intern concurrently (fresh symbols from rewrites, late decoding
    of answers), so every access to the tables below holds [lock].  The
    structures are tiny and interning never happens inside the join hot
-   loops — workers only move already-interned codes (plain ints) around
+   loops — joins only move already-interned codes (plain ints) around
    — so one process-wide mutex costs nothing measurable.  Reads of an
    [{id; name}] record obtained from a previous [intern] need no lock:
    the record is immutable, and whoever handed the symbol (or its code)

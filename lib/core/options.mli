@@ -57,13 +57,6 @@ type t = {
       (** collect the compiled plans into {!Solve.report.plans} (and the
           [plan] block of {!Solve.report_json}); implies nothing about
           [compile] — explain with [compile = false] reports no plans *)
-  domains : int;
-      (** evaluate with a pool of this many OCaml domains
-          ({!Datalog_engine.Par}); 1 (the default) runs the untouched
-          serial path.  Only meaningful with [compile = true] and a
-          fixpoint-based strategy; answers and gated counters are
-          identical for every value (the parallel merge is
-          deterministic), only wall time changes *)
   subsume : bool;
       (** apply the adornment-lattice subsumption filter
           ({!Datalog_engine.Subsume}) to the magic-family strategies: a
@@ -79,7 +72,7 @@ type t = {
 val default : t
 (** [Alexander] strategy, left-to-right SIP, [Auto] negation, no limits,
     no profiling, no trace, no checkpoint, compiled plans on, merge
-    joins on, explain off, one domain, subsumption filter on. *)
+    joins on, explain off, subsumption filter on. *)
 
 val strategy_name : strategy -> string
 val strategy_of_string : string -> strategy option

@@ -17,7 +17,6 @@ type report = {
   status : Limits.status;
   wall_time_s : float;
   minor_words : float;
-  parallel : Json.t option;
 }
 
 (* An active profile when the caller asked for one — a trace sink implies
@@ -94,7 +93,7 @@ let check_safety program =
 
 (* Evaluate [program] (rules + facts) under the requested negation
    semantics; answers are read from [answer_pred]/[pattern]. *)
-let evaluate ?resume_from ?plan ?par ?(subsume = Subsume.none) options
+let evaluate ?resume_from ?plan ?(subsume = Subsume.none) options
     profile program answer_pred pattern =
   let limits = options.Options.limits in
   let checkpoint = options.Options.checkpoint in
@@ -112,7 +111,7 @@ let evaluate ?resume_from ?plan ?par ?(subsume = Subsume.none) options
       Result.map_error
         (fun msg -> Errors.Not_stratified msg)
         (Stratified.run ~limits ~profile ~checkpoint ?resume_from ~use_naive
-           ?plan ?par ~subsume program)
+           ?plan ~subsume program)
     in
     Ok
       ( outcome.Stratified.db,
@@ -173,21 +172,12 @@ let subsume_of options rw =
              s.Rewritten.companion ))
          rw.Rewritten.subsumption)
 
-(* The domain pool for these options: only the compiled fixpoint path
-   can shard, so [--domains N] without plans (or with an engine that
-   never goes through [Fixpoint]) runs serially on an idle pool. *)
-let par_of_options options =
-  if options.Options.domains > 1 && options.Options.compile then
-    Some (Par.create options.Options.domains)
-  else None
-
 let run_uncaught ~options ?resume_from program query =
   let start = Unix.gettimeofday () in
   let minor0 = Gc.minor_words () in
   let profile = profile_of_options options in
   let infos = ref [] in
   let plan = plan_of_options options (fun i -> infos := i :: !infos) in
-  let par = par_of_options options in
   let finish rewritten (db, counters, answers, undefined, evaluator, status) =
     { options;
       rewritten;
@@ -200,11 +190,9 @@ let run_uncaught ~options ?resume_from program query =
       evaluator;
       status;
       wall_time_s = Unix.gettimeofday () -. start;
-      minor_words = Gc.minor_words () -. minor0;
-      parallel = Option.map Par.stats_json par
+      minor_words = Gc.minor_words () -. minor0
     }
   in
-  Fun.protect ~finally:(fun () -> Option.iter Par.shutdown par) @@ fun () ->
   let strategy_name = Options.strategy_name options.Options.strategy in
   let query_str = Format.asprintf "%a" Atom.pp query in
   Checkpoint.set_context options.Options.checkpoint ~strategy:strategy_name
@@ -239,7 +227,7 @@ let run_uncaught ~options ?resume_from program query =
     match options.Options.strategy with
     | Options.Naive | Options.Seminaive ->
       let* result =
-        evaluate ?resume_from ?plan ?par options profile program qpred query
+        evaluate ?resume_from ?plan options profile program qpred query
       in
       Ok (finish None result)
     | Options.Tabled ->
@@ -247,8 +235,8 @@ let run_uncaught ~options ?resume_from program query =
         Result.map_error
           (fun msg -> Errors.Evaluation msg)
           (Tabled.run ~limits:options.Options.limits ~profile
-             ~checkpoint:options.Options.checkpoint ?resume_from ?plan ?par
-             program query)
+             ~checkpoint:options.Options.checkpoint ?resume_from ?plan program
+             query)
       in
       (* expose the tables as a database, alongside the EDB *)
       let db = Database.of_facts (Program.facts program) in
@@ -294,7 +282,7 @@ let run_uncaught ~options ?resume_from program query =
             rw.Rewritten.rules
         in
         let* result =
-          evaluate ?resume_from ?plan ?par ~subsume:(subsume_of options rw)
+          evaluate ?resume_from ?plan ~subsume:(subsume_of options rw)
             options profile full (Rewritten.answer_pred rw)
             rw.Rewritten.answer_atom
         in
@@ -350,9 +338,6 @@ let run_many_uncaught ~options program queries =
     (* shared across groups: the rows aggregate over the whole batch *)
     let profile = profile_of_options options in
     let plan = plan_of_options options ignore in
-    let par = par_of_options options in
-    Fun.protect ~finally:(fun () -> Option.iter Par.shutdown par)
-    @@ fun () ->
     let evaluate_group (_, group) =
       let group = List.rev group in
       match group with
@@ -406,7 +391,7 @@ let run_many_uncaught ~options program queries =
                   in
                   Hashtbl.replace results i (query, answers))
                 group)
-            (evaluate ?plan ?par ~subsume:(subsume_of options rw) options
+            (evaluate ?plan ~subsume:(subsume_of options rw) options
                profile full (Rewritten.answer_pred rw)
                (Atom.make (Rewritten.answer_pred rw)
                   (Array.mapi
@@ -488,11 +473,8 @@ let report_json ~query report =
                report.plans) )
       ]
   in
-  let parallel_block =
-    match report.parallel with None -> Json.Null | Some j -> j
-  in
   Json.Obj
-    [ ("schema_version", Json.Int 6);
+    [ ("schema_version", Json.Int 7);
       ("query", Json.String (Format.asprintf "%a" Atom.pp query));
       ( "strategy",
         Json.String (Options.strategy_name report.options.Options.strategy) );
@@ -510,7 +492,6 @@ let report_json ~query report =
       ("minor_words", Json.Float report.minor_words);
       ("rewritten", rewritten);
       ("plan", plan_block);
-      ("parallel", parallel_block);
       ("totals", Counters.to_json report.counters);
       ("profile", Profile.to_json report.profile)
     ]

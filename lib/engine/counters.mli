@@ -25,19 +25,14 @@ type t = {
 }
 
 val create : unit -> t
-
-val zero : unit -> t
-(** A fresh all-zero counter set.  [zero]/{!add} form the commutative
-    monoid the parallel merge barrier folds domain-local counters with
-    ({!Par}); [zero ()] is the identity of [add]. *)
+(** A fresh all-zero counter set, the identity of {!add}. *)
 
 val reset : t -> unit
 
 val add : t -> t -> unit
 (** [add acc c] accumulates [c] into [acc] field-wise.  Associative and
-    commutative in [c] (ints under addition), so lane counters may be
-    folded in any order — the merge barrier still folds in shard-index
-    order for the profile rows' sake. *)
+    commutative in [c] (ints under addition), so per-request counters
+    may be folded into a running total in any order. *)
 
 val to_json : t -> Json.t
 (** One object with the eight counter fields, in declaration order. *)

@@ -3,37 +3,55 @@ open Datalog_storage
 
 (* One rule application, either interpreted ([Eval.apply_rule]) or through
    a compiled plan; the two are counter-for-counter equivalent, so which
-   one runs is invisible to profiles, limits and checkpoints.  With a
-   domain pool ([par], compiled path only) the application may be sharded
-   across worker domains — also counter-equivalent, by [Par]'s merge. *)
-let applier cnt ~guard ~profile ~neg ?plan ?par ~card ?delta_pos rule =
+   one runs is invisible to profiles, limits and checkpoints. *)
+let applier cnt ~guard ~profile ~neg ?plan ~card ?delta_pos rule =
   match plan with
   | None ->
     fun ~rel_of emit ->
       Eval.apply_rule cnt ~guard ~profile ~rel_of ~neg rule emit
-  | Some cfg -> (
+  | Some cfg ->
     let p = Plan.compile cfg ~card ?delta_pos rule in
-    match par with
-    | Some pool ->
-      fun ~rel_of emit ->
-        Par.run_app pool p cnt ~guard ~profile ~rel_of ~neg emit
-    | None ->
-      fun ~rel_of emit -> Plan.run p cnt ~guard ~profile ~rel_of ~neg emit)
+    fun ~rel_of emit -> Plan.run p cnt ~guard ~profile ~rel_of ~neg emit
 
-let note_round par = match par with Some pool -> Par.note_round pool | None -> ()
+(* The emit callback of every round: route the tuple through the
+   subsumption filter, store it, count it as derived or subsumed, check
+   the relation budget, and run [on_new] on a genuinely new tuple (under
+   the predicate it was stored as). *)
+let emitter cnt ~guard ~profile ~subsume ~db on_new =
+  let budgeted = Limits.is_active guard in
+  fun pred tuple ->
+    let pred, dropped =
+      match Subsume.drop subsume db pred tuple with
+      | Some companion -> (companion, true)
+      | None -> (pred, false)
+    in
+    if Database.add db pred tuple then begin
+      if dropped then begin
+        cnt.Counters.subsumed <- cnt.Counters.subsumed + 1;
+        Profile.subsumed profile pred
+      end
+      else begin
+        cnt.Counters.facts_derived <- cnt.Counters.facts_derived + 1;
+        Profile.derived profile pred
+      end;
+      if budgeted then Limits.check_relation guard (Database.rel db pred);
+      on_new pred tuple
+    end
 
 let naive cnt ?(guard = Limits.no_guard) ?(profile = Profile.none)
-    ?(ckpt = Checkpoint.none) ?plan ?par ?(subsume = Subsume.none) ~db ~neg
+    ?(ckpt = Checkpoint.none) ?plan ?(subsume = Subsume.none) ~db ~neg
     rules =
   let rel_of = Eval.db_rel_of db in
   let card pred = Database.cardinal db pred in
   let apps =
     List.map
-      (fun rule ->
-        (rule, applier cnt ~guard ~profile ~neg ?plan ?par ~card rule))
+      (fun rule -> (rule, applier cnt ~guard ~profile ~neg ?plan ~card rule))
       rules
   in
   let changed = ref true in
+  let emit =
+    emitter cnt ~guard ~profile ~subsume ~db (fun _ _ -> changed := true)
+  in
   while !changed do
     changed := false;
     match
@@ -42,32 +60,10 @@ let naive cnt ?(guard = Limits.no_guard) ?(profile = Profile.none)
       Profile.with_round profile cnt (fun () ->
           List.iter
             (fun (rule, app) ->
-              Profile.with_rule profile cnt rule (fun () ->
-                  app ~rel_of (fun pred tuple ->
-                      let pred, dropped =
-                        match Subsume.drop subsume db pred tuple with
-                        | Some companion -> (companion, true)
-                        | None -> (pred, false)
-                      in
-                      if Database.add db pred tuple then begin
-                        if dropped then begin
-                          cnt.Counters.subsumed <- cnt.Counters.subsumed + 1;
-                          Profile.subsumed profile pred
-                        end
-                        else begin
-                          cnt.Counters.facts_derived <-
-                            cnt.Counters.facts_derived + 1;
-                          Profile.derived profile pred
-                        end;
-                        if Limits.is_active guard then
-                          Limits.check_relation guard (Database.rel db pred);
-                        changed := true
-                      end)))
+              Profile.with_rule profile cnt rule (fun () -> app ~rel_of emit))
             apps)
     with
-    | () ->
-      note_round par;
-      Checkpoint.on_round ckpt ~db ~delta:None
+    | () -> Checkpoint.on_round ckpt ~db ~delta:None
     | exception (Limits.Out_of_budget _ as e) ->
       (* naive rounds re-evaluate everything, so the saved database alone
          is a resumable state *)
@@ -89,7 +85,7 @@ let delta_positions recursive rule =
          | Literal.Pos _ | Literal.Neg _ | Literal.Cmp _ -> None)
 
 let seminaive cnt ?(guard = Limits.no_guard) ?(profile = Profile.none)
-    ?(ckpt = Checkpoint.none) ?plan ?par ?(subsume = Subsume.none)
+    ?(ckpt = Checkpoint.none) ?plan ?(subsume = Subsume.none)
     ?initial_delta ~db ~neg ?recursive rules =
   let recursive =
     match recursive with Some s -> s | None -> head_preds rules
@@ -110,9 +106,12 @@ let seminaive cnt ?(guard = Limits.no_guard) ?(profile = Profile.none)
     let rel_of = Eval.db_rel_of db in
     let apps =
       List.map
-        (fun rule ->
-          (rule, applier cnt ~guard ~profile ~neg ?plan ?par ~card rule))
+        (fun rule -> (rule, applier cnt ~guard ~profile ~neg ?plan ~card rule))
         rules
+    in
+    let emit =
+      emitter cnt ~guard ~profile ~subsume ~db (fun pred tuple ->
+          ignore (Database.add !delta pred tuple))
     in
     match
       cnt.Counters.iterations <- cnt.Counters.iterations + 1;
@@ -120,32 +119,10 @@ let seminaive cnt ?(guard = Limits.no_guard) ?(profile = Profile.none)
       Profile.with_round profile cnt (fun () ->
           List.iter
             (fun (rule, app) ->
-              Profile.with_rule profile cnt rule (fun () ->
-                  app ~rel_of (fun pred tuple ->
-                      let pred, dropped =
-                        match Subsume.drop subsume db pred tuple with
-                        | Some companion -> (companion, true)
-                        | None -> (pred, false)
-                      in
-                      if Database.add db pred tuple then begin
-                        if dropped then begin
-                          cnt.Counters.subsumed <- cnt.Counters.subsumed + 1;
-                          Profile.subsumed profile pred
-                        end
-                        else begin
-                          cnt.Counters.facts_derived <-
-                            cnt.Counters.facts_derived + 1;
-                          Profile.derived profile pred
-                        end;
-                        if Limits.is_active guard then
-                          Limits.check_relation guard (Database.rel db pred);
-                        ignore (Database.add !delta pred tuple)
-                      end)))
+              Profile.with_rule profile cnt rule (fun () -> app ~rel_of emit))
             apps)
     with
-    | () ->
-      note_round par;
-      Checkpoint.on_round ckpt ~db ~delta:(Some !delta)
+    | () -> Checkpoint.on_round ckpt ~db ~delta:(Some !delta)
     | exception (Limits.Out_of_budget _ as e) ->
       (* not every rule has run against the full database yet, so no
          delta is trustworthy: force the resume to redo this round *)
@@ -161,8 +138,8 @@ let seminaive cnt ?(guard = Limits.no_guard) ?(profile = Profile.none)
             List.map
               (fun delta_pos ->
                 ( delta_pos,
-                  applier cnt ~guard ~profile ~neg ?plan ?par ~card ~delta_pos
-                    rule ))
+                  applier cnt ~guard ~profile ~neg ?plan ~card ~delta_pos rule
+                ))
               positions
           in
           Some (rule, apps))
@@ -171,6 +148,10 @@ let seminaive cnt ?(guard = Limits.no_guard) ?(profile = Profile.none)
   while Database.total_facts !delta > 0 do
     let current = !delta in
     let next = fresh_delta () in
+    let emit =
+      emitter cnt ~guard ~profile ~subsume ~db (fun pred tuple ->
+          ignore (Database.add next pred tuple))
+    in
     (match
        cnt.Counters.iterations <- cnt.Counters.iterations + 1;
        Limits.check_round guard;
@@ -184,28 +165,7 @@ let seminaive cnt ?(guard = Limits.no_guard) ?(profile = Profile.none)
                          if i = delta_pos then Database.find current pred
                          else Database.find db pred
                        in
-                       app ~rel_of (fun pred tuple ->
-                           let pred, dropped =
-                             match Subsume.drop subsume db pred tuple with
-                             | Some companion -> (companion, true)
-                             | None -> (pred, false)
-                           in
-                           if Database.add db pred tuple then begin
-                             if dropped then begin
-                               cnt.Counters.subsumed <-
-                                 cnt.Counters.subsumed + 1;
-                               Profile.subsumed profile pred
-                             end
-                             else begin
-                               cnt.Counters.facts_derived <-
-                                 cnt.Counters.facts_derived + 1;
-                               Profile.derived profile pred
-                             end;
-                             if Limits.is_active guard then
-                               Limits.check_relation guard
-                                 (Database.rel db pred);
-                             ignore (Database.add next pred tuple)
-                           end))
+                       app ~rel_of emit)
                      apps))
              delta_rules)
      with
@@ -221,7 +181,6 @@ let seminaive cnt ?(guard = Limits.no_guard) ?(profile = Profile.none)
         Checkpoint.on_interrupt ckpt ~db ~delta:(Some merged)
       end;
       raise e);
-    note_round par;
     delta := next;
     Checkpoint.on_round ckpt ~db ~delta:(Some next)
   done

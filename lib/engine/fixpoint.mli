@@ -26,7 +26,6 @@ val naive :
   ?profile:Profile.t ->
   ?ckpt:Checkpoint.t ->
   ?plan:Plan.config ->
-  ?par:Par.t ->
   ?subsume:Subsume.t ->
   db:Database.t ->
   neg:(Pred.t -> Tuple.t -> bool) ->
@@ -36,8 +35,7 @@ val naive :
     With [plan], each rule is compiled once (against the cardinalities of
     [db] at entry) and run through {!Plan.run}; without it, the
     interpreted {!Eval.apply_rule} path is used.  The two are equivalent,
-    counters included.  With [par] (compiled path only), shardable
-    applications run on the domain pool — still counter-equivalent.
+    counters included.
     @raise Limits.Out_of_budget when the guard's budget is exhausted. *)
 
 val seminaive :
@@ -46,7 +44,6 @@ val seminaive :
   ?profile:Profile.t ->
   ?ckpt:Checkpoint.t ->
   ?plan:Plan.config ->
-  ?par:Par.t ->
   ?subsume:Subsume.t ->
   ?initial_delta:Database.t ->
   db:Database.t ->

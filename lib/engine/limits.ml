@@ -42,9 +42,7 @@ type guard = {
       (** the one shared decimation counter: every hot-path check —
           per-candidate and per-derivation alike — bumps it, and the
           clock / cancel poll fires on its boundaries.  One plain int
-          field, no allocation, so an active guard costs the same
-          [minor_words] whether one domain polls it or the lane guards
-          of a parallel run each poll their own. *)
+          field, so an active guard allocates nothing per check. *)
 }
 
 let never_cancelled () = false
@@ -76,13 +74,7 @@ let guard limits cnt =
       tick = 0
     }
 
-let lane_guard parent ~cnt ~cancelled =
-  if not parent.active then no_guard
-  else { parent with cnt; cancelled; tick = 0 }
-
 let is_active g = g.active
-
-let poll_cancelled g = g.active && g.cancelled ()
 
 let exhausted reason = raise (Out_of_budget reason)
 

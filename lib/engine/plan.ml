@@ -884,391 +884,3 @@ let run (plan : t) cnt ?(guard = Limits.no_guard) ?(profile = Profile.none) ~rel
       each k out rest
   in
   step 0
-
-(* ------------------------------------------------------------------ *)
-(* Domain-sharded execution                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* A rule application can be split across worker domains only when no op
-   reads the relation the application is writing: every relation touched
-   must be frozen for the application's duration.  This is the same
-   frozen-ness [fuse_merge] relies on, applied to every op instead of
-   just the sorted side of a fusion: the delta literal of a semi-naive
-   specialization is frozen even when it names the head (deltas are never
-   written mid-round), and any non-head relation is frozen because an
-   application only writes its own head.  Plans that fail the test run
-   serially — mid-application visibility of their own emissions is part
-   of their counter-exact semantics and cannot be sharded.
-
-   Unsafe ops are also excluded: their error message interpolates the
-   specific candidate that exposed the unboundness, and which candidate
-   that is must not depend on the lane count. *)
-let frozen_under variant head_pred lit_pos pred =
-  (match variant with Delta d -> lit_pos = d | Full | Call _ -> false)
-  || not (Pred.equal pred head_pred)
-
-let shardable (plan : t) =
-  plan.dialect = Rule_eval && plan.head_safe
-  && Array.length plan.ops > 0
-  && (match plan.ops.(0) with
-     | Probe _ | Scan _ | Mergejoin _ -> true
-     | Table _ | Negtest _ | Cmptest _ | Assign _ | Unsafe_neg _
-     | Unsafe_cmp _ -> false)
-  && Array.for_all
-       (fun op ->
-         match op with
-         | Probe { lit_pos; pred; _ } | Scan { lit_pos; pred; _ } ->
-           frozen_under plan.variant plan.head_pred lit_pos pred
-         | Mergejoin { l_lit_pos; l_pred; r_lit_pos; r_pred; _ } ->
-           frozen_under plan.variant plan.head_pred l_lit_pos l_pred
-           && frozen_under plan.variant plan.head_pred r_lit_pos r_pred
-         | Negtest { pred; _ } -> not (Pred.equal pred plan.head_pred)
-         | Cmptest _ | Assign _ -> true
-         | Table _ | Unsafe_neg _ | Unsafe_cmp _ -> false)
-       plan.ops
-
-(* Candidates are assigned to lanes by the code in the column bound by
-   the first [Store] of the outer op's residual — the first join key the
-   rest of the plan sees — so tuples that join alike land on one lane
-   and the sorted-side cursor of a sharded merge join stays adaptive.
-   A residual with no [Store] (every outer position constant or
-   pre-checked) degenerates to lane 0 owning everything: still correct,
-   nothing to parallelize over. *)
-let first_store (out : (int * action) array) =
-  let n = Array.length out in
-  let rec go i =
-    if i >= n then None
-    else match out.(i) with pos, Store _ -> Some pos | _ -> go (i + 1)
-  in
-  go 0
-
-let shard_pos (plan : t) =
-  if Array.length plan.ops = 0 then None
-  else
-    match plan.ops.(0) with
-    | Probe { out; _ } | Scan { out; _ } -> first_store out
-    | Mergejoin { l_out; _ } -> first_store l_out
-    | Table _ | Negtest _ | Cmptest _ | Assign _ | Unsafe_neg _
-    | Unsafe_cmp _ -> None
-
-(* Relations and index structures resolved once, by the coordinator,
-   before the lanes start: workers must not trigger the lazy mutation
-   hiding behind [Relation.probe] (index build, handle re-memoisation,
-   bucket compaction) or [Relation.sorted_view] (projection refresh), so
-   every probe goes through a pre-compacted {!Relation.frozen} handle and
-   every merge join gets its sorted view built here. *)
-type prep_op =
-  | Fnone  (* relation absent: the op can never match *)
-  | Fprobe of Relation.frozen
-  | Fscan of Relation.t
-  | Fmerge of Relation.t * Relation.sorted_view option  (* left, right *)
-  | Fpure  (* no relation to resolve *)
-
-type prepped = {
-  f_ops : prep_op array;
-  f_outer : int;  (* candidate count at ops.(0): the shardable work *)
-}
-
-let const_key (key : src array) =
-  (* op 0 runs from the empty substitution, so its key is all constants *)
-  Array.map
-    (function Sconst c -> c | Sreg _ | Sunbound _ -> assert false)
-    key
-
-let freeze (plan : t) ~rel_of =
-  let nops = Array.length plan.ops in
-  let f_ops = Array.make (max nops 1) Fpure in
-  Array.iteri
-    (fun k op ->
-      match op with
-      | Probe { lit_pos; pred; access; _ } -> (
-        match rel_of lit_pos pred with
-        | None -> f_ops.(k) <- Fnone
-        | Some rel -> f_ops.(k) <- Fprobe (Relation.freeze rel access))
-      | Scan { lit_pos; pred; _ } -> (
-        match rel_of lit_pos pred with
-        | None -> f_ops.(k) <- Fnone
-        | Some rel -> f_ops.(k) <- Fscan rel)
-      | Mergejoin { l_lit_pos; l_pred; r_lit_pos; r_pred; r_sorted; _ } -> (
-        match rel_of l_lit_pos l_pred with
-        | None -> f_ops.(k) <- Fnone
-        | Some lrel ->
-          let rview =
-            match rel_of r_lit_pos r_pred with
-            | None -> None
-            | Some rrel -> Some (Relation.sorted_view rrel r_sorted)
-          in
-          f_ops.(k) <- Fmerge (lrel, rview))
-      | Table _ | Negtest _ | Cmptest _ | Assign _ | Unsafe_neg _
-      | Unsafe_cmp _ -> ())
-    plan.ops;
-  let f_outer =
-    if nops = 0 then 0
-    else
-      match plan.ops.(0), f_ops.(0) with
-      | _, (Fnone | Fpure) -> 0
-      | Probe { key; _ }, Fprobe fr ->
-        snd (Relation.probe_frozen fr (const_key key))
-      | _, Fscan rel -> Relation.cardinal rel
-      | _, Fmerge (lrel, _) -> Relation.cardinal lrel
-      | _, _ -> 0
-  in
-  { f_ops; f_outer }
-
-let outer_cardinal prep = prep.f_outer
-
-(* One lane of a sharded application: lane [shard] of [nshards] executes
-   the outer op's candidates whose shard key hashes to it, running the
-   inner ops exactly as [run] would and buffering emissions through
-   [emit idx tuple], where [idx] is the candidate's position in the
-   outer enumeration — the coordinator merges lane buffers back into
-   that order, so the database sees the same tuples in the same order as
-   a serial run.
-
-   Counter discipline, chosen so that summing the lanes' counters
-   reproduces the serial totals exactly:
-   - per-execution op counters ([probes], [merge_steps], and the
-     full-width [Profile.probe] of the outer op) are accounted by lane 0
-     alone;
-   - per-candidate counters ([scanned], [firings], and all counters of
-     inner ops, which execute once per owned candidate) are accounted by
-     the lane that owns the candidate;
-   - [gallops] of a sharded outer merge join is the one exception: each
-     lane runs its own adaptive cursor over its subsequence, so the sum
-     differs from the single serial cursor (the regression gate ignores
-     it — see bench/regression.ml).
-
-   This function must stay in lock-step with [run] above: the inner-op
-   arms are the same code against pre-resolved relations. *)
-let run_shard (plan : t) prep cnt ?(guard = Limits.no_guard)
-    ?(profile = Profile.none) ~neg ~nshards ~shard
-    (emit : int -> Tuple.t -> unit) =
-  let nops = Array.length plan.ops in
-  let regs = make_regs plan in
-  let profiling = Profile.is_active profile in
-  let lane0 = shard = 0 in
-  let cur_idx = ref 0 in
-  let owns =
-    match shard_pos plan with
-    | None -> fun (_ : Tuple.t) -> lane0
-    | Some pos ->
-      fun (tuple : Tuple.t) ->
-        (Code.hash tuple.(pos) land max_int) mod nshards = shard
-  in
-  let rec step k =
-    if k = nops then begin
-      Limits.check_derived guard;
-      cnt.Counters.firings <- cnt.Counters.firings + 1;
-      (* [shardable] required [head_safe] *)
-      emit !cur_idx (Array.map (src_value regs) plan.head)
-    end
-    else
-      match plan.ops.(k) with
-      | Probe { pred; key; out; _ } -> (
-        match prep.f_ops.(k) with
-        | Fnone -> ()
-        | Fprobe fr ->
-          cnt.Counters.probes <- cnt.Counters.probes + 1;
-          let kv = Array.map (src_value regs) key in
-          let candidates, width = Relation.probe_frozen fr kv in
-          if profiling then Profile.probe profile pred ~scanned:width;
-          each k out candidates
-        | Fscan _ | Fmerge _ | Fpure -> assert false)
-      | Scan { pred; out; _ } -> (
-        match prep.f_ops.(k) with
-        | Fnone -> ()
-        | Fscan rel ->
-          cnt.Counters.probes <- cnt.Counters.probes + 1;
-          if profiling then
-            Profile.probe profile pred ~scanned:(Relation.cardinal rel);
-          (* frozen for the application: iterating live is the snapshot *)
-          Relation.iter
-            (fun tuple ->
-              Limits.check guard;
-              cnt.Counters.scanned <- cnt.Counters.scanned + 1;
-              if match_out regs out tuple then step (k + 1))
-            rel
-        | Fprobe _ | Fmerge _ | Fpure -> assert false)
-      | Mergejoin { l_pred; l_out; r_pred; r_cols; r_key; r_out; _ } -> (
-        match prep.f_ops.(k) with
-        | Fnone -> ()
-        | Fmerge (lrel, rview) ->
-          exec_merge k ~count_op:true
-            ~owns:(fun _ -> true)
-            ~track_idx:false l_pred l_out r_pred r_cols r_key r_out lrel
-            rview
-        | Fprobe _ | Fscan _ | Fpure -> assert false)
-      | Table _ -> assert false
-      | Negtest { pred; args } ->
-        if neg pred (Array.map (src_value regs) args) then step (k + 1)
-      | Cmptest { cmp; lhs; rhs } ->
-        if Code.eval_cmp cmp (src_value regs lhs) (src_value regs rhs) then
-          step (k + 1)
-      | Assign { reg; value } ->
-        regs.(reg) <- src_value regs value;
-        step (k + 1)
-      | Unsafe_neg _ | Unsafe_cmp _ -> assert false
-  and each k out = function
-    | [] -> ()
-    | tuple :: rest ->
-      Limits.check guard;
-      cnt.Counters.scanned <- cnt.Counters.scanned + 1;
-      if match_out regs out tuple then step (k + 1);
-      each k out rest
-  (* The merge-join body of [run], against a pre-resolved view.  [owns]
-     filters candidates (the lane filter when this is the sharded outer
-     op, all-pass when inner); [count_op] is lane 0 or any inner
-     execution; [track_idx] numbers candidates into [cur_idx] (outer op
-     only). *)
-  and exec_merge k ~count_op ~owns ~track_idx l_pred l_out r_pred r_cols
-      r_key r_out lrel rview =
-    if count_op then begin
-      cnt.Counters.probes <- cnt.Counters.probes + 1;
-      if profiling then
-        Profile.probe profile l_pred ~scanned:(Relation.cardinal lrel)
-    end;
-    match rview with
-    | None ->
-      let i = ref (-1) in
-      Relation.iter
-        (fun tuple ->
-          incr i;
-          if owns tuple then begin
-            Limits.check guard;
-            cnt.Counters.scanned <- cnt.Counters.scanned + 1;
-            ignore (match_out regs l_out tuple)
-          end)
-        lrel
-    | Some view ->
-      if count_op then begin
-        cnt.Counters.probes <- cnt.Counters.probes + 1;
-        cnt.Counters.merge_steps <- cnt.Counters.merge_steps + 1
-      end;
-      let rows = view.Relation.sv_rows in
-      let keys = view.Relation.sv_keys in
-      let n = view.Relation.sv_len in
-      let ncols = Array.length r_cols in
-      let rec cmp_from i j =
-        if j >= ncols then 0
-        else
-          let c = Code.compare keys.(j).(i) (src_value regs r_key.(j)) in
-          if c <> 0 then c else cmp_from i (j + 1)
-      in
-      let cmp_at i = cmp_from i 0 in
-      let gallops = ref 0 in
-      let inspected = ref 0 in
-      let above strict i =
-        let c = cmp_at i in
-        if strict then c > 0 else c >= 0
-      in
-      let rec widen strict lo step =
-        if lo + step < n && not (above strict (lo + step)) then
-          widen strict (lo + step) (2 * step)
-        else bisect strict lo (min n (lo + step))
-      and bisect strict lo hi =
-        if hi - lo <= 1 then hi
-        else
-          let mid = (lo + hi) / 2 in
-          if above strict mid then bisect strict lo mid else bisect strict mid hi
-      in
-      let gallop strict base =
-        incr gallops;
-        if base >= n then n
-        else if above strict base then base
-        else widen strict base 1
-      in
-      let grp_lo = ref 0 and grp_hi = ref 0 in
-      let have_grp = ref false in
-      let locate () =
-        if !have_grp && !grp_lo < !grp_hi && cmp_at !grp_lo = 0 then ()
-        else begin
-          let base =
-            if !have_grp && !grp_hi > 0 && cmp_at (!grp_hi - 1) < 0 then
-              !grp_hi
-            else 0
-          in
-          let lo = gallop false base in
-          let hi = if lo = n || cmp_at lo > 0 then lo else gallop true lo in
-          grp_lo := lo;
-          grp_hi := hi;
-          have_grp := true
-        end
-      in
-      let i = ref (-1) in
-      let each_left tuple =
-        incr i;
-        if owns tuple then begin
-          if track_idx then cur_idx := !i;
-          Limits.check guard;
-          cnt.Counters.scanned <- cnt.Counters.scanned + 1;
-          if match_out regs l_out tuple then begin
-            locate ();
-            for j = !grp_lo to !grp_hi - 1 do
-              Limits.check guard;
-              cnt.Counters.scanned <- cnt.Counters.scanned + 1;
-              incr inspected;
-              if match_out regs r_out rows.(j) then step (k + 1)
-            done
-          end
-        end
-      in
-      let record () =
-        cnt.Counters.gallops <- cnt.Counters.gallops + !gallops;
-        if profiling then
-          if count_op then begin
-            Profile.probe profile r_pred ~scanned:!inspected;
-            Profile.merge profile r_pred ~gallops:!gallops
-          end
-          else begin
-            Profile.add_scanned profile r_pred ~scanned:!inspected;
-            Profile.add_gallops profile r_pred ~gallops:!gallops
-          end
-      in
-      (match Relation.iter each_left lrel with
-      | () -> record ()
-      | exception e ->
-        record ();
-        raise e)
-  in
-  (* the outer op: enumerate all candidates (indices must agree across
-     lanes), execute the owned ones *)
-  if nops > 0 then
-    match plan.ops.(0), prep.f_ops.(0) with
-    | _, Fnone -> ()
-    | Probe { pred; key; out; _ }, Fprobe fr ->
-      if lane0 then cnt.Counters.probes <- cnt.Counters.probes + 1;
-      let candidates, width = Relation.probe_frozen fr (const_key key) in
-      if lane0 && profiling then Profile.probe profile pred ~scanned:width;
-      let i = ref (-1) in
-      List.iter
-        (fun tuple ->
-          incr i;
-          if owns tuple then begin
-            cur_idx := !i;
-            Limits.check guard;
-            cnt.Counters.scanned <- cnt.Counters.scanned + 1;
-            if match_out regs out tuple then step 1
-          end)
-        candidates
-    | Scan { pred; out; _ }, Fscan rel ->
-      if lane0 then begin
-        cnt.Counters.probes <- cnt.Counters.probes + 1;
-        if profiling then
-          Profile.probe profile pred ~scanned:(Relation.cardinal rel)
-      end;
-      let i = ref (-1) in
-      Relation.iter
-        (fun tuple ->
-          incr i;
-          if owns tuple then begin
-            cur_idx := !i;
-            Limits.check guard;
-            cnt.Counters.scanned <- cnt.Counters.scanned + 1;
-            if match_out regs out tuple then step 1
-          end)
-        rel
-    | Mergejoin { l_pred; l_out; r_pred; r_cols; r_key; r_out; _ },
-      Fmerge (lrel, rview) ->
-      exec_merge 0 ~count_op:lane0 ~owns ~track_idx:true l_pred l_out r_pred
-        r_cols r_key r_out lrel rview
-    | _, _ -> assert false

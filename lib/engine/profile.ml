@@ -160,100 +160,6 @@ let subsumed p pred =
     row.p_subsumed <- row.p_subsumed + 1
   end
 
-(* Bare column bumps for the sharded merge-join executor ({!Par}): a
-   non-zero lane scans its share of the left side and runs its own
-   gallop searches, but the one probe/merge-step of the outer op is
-   accounted once, on lane 0 — these record the work without the op
-   count, so per-predicate probes and merge_steps stay at their serial
-   values. *)
-
-let add_scanned p pred ~scanned =
-  if p.active && scanned <> 0 then begin
-    let row = pred_row p pred in
-    row.p_scanned <- row.p_scanned + scanned
-  end
-
-let add_gallops p pred ~gallops =
-  if p.active && gallops <> 0 then begin
-    let row = pred_row p pred in
-    row.p_gallops <- row.p_gallops + gallops
-  end
-
-(* The profile monoid: [none]-shaped fresh profiles are the identity and
-   [add] folds row tables pointwise (rows keyed by rule text / pred
-   name+arity; first-seen order of rows new to [dst] follows [src]).
-   The merge barrier folds domain-local profiles in shard-index order;
-   associativity/commutativity-up-to-row-order is pinned by qcheck in
-   test/test_profile.ml. *)
-let add dst src =
-  if dst.active && src.active then begin
-    List.iter
-      (fun (src_row : rule_row) ->
-        let row =
-          match Hashtbl.find_opt dst.rule_tbl src_row.rule_text with
-          | Some row -> row
-          | None ->
-            let row =
-              { rule_text = src_row.rule_text;
-                evals = 0;
-                firings = 0;
-                probes = 0;
-                scanned = 0;
-                derived = 0;
-                merge_steps = 0;
-                gallops = 0;
-                r_subsumed = 0;
-                time_s = 0.0
-              }
-            in
-            Hashtbl.add dst.rule_tbl src_row.rule_text row;
-            dst.rules_rev <- row :: dst.rules_rev;
-            row
-        in
-        row.evals <- row.evals + src_row.evals;
-        row.firings <- row.firings + src_row.firings;
-        row.probes <- row.probes + src_row.probes;
-        row.scanned <- row.scanned + src_row.scanned;
-        row.derived <- row.derived + src_row.derived;
-        row.merge_steps <- row.merge_steps + src_row.merge_steps;
-        row.gallops <- row.gallops + src_row.gallops;
-        row.r_subsumed <- row.r_subsumed + src_row.r_subsumed;
-        row.time_s <- row.time_s +. src_row.time_s)
-      (List.rev src.rules_rev);
-    List.iter
-      (fun (src_row : pred_row) ->
-        let key = (src_row.pred_name, src_row.pred_arity) in
-        let row =
-          match Hashtbl.find_opt dst.pred_tbl key with
-          | Some row -> row
-          | None ->
-            let row =
-              { pred_name = src_row.pred_name;
-                pred_arity = src_row.pred_arity;
-                p_probes = 0;
-                p_scanned = 0;
-                p_derived = 0;
-                p_merge_steps = 0;
-                p_gallops = 0;
-                p_subsumed = 0
-              }
-            in
-            Hashtbl.add dst.pred_tbl key row;
-            dst.preds_rev <- row :: dst.preds_rev;
-            row
-        in
-        row.p_probes <- row.p_probes + src_row.p_probes;
-        row.p_scanned <- row.p_scanned + src_row.p_scanned;
-        row.p_derived <- row.p_derived + src_row.p_derived;
-        row.p_merge_steps <- row.p_merge_steps + src_row.p_merge_steps;
-        row.p_gallops <- row.p_gallops + src_row.p_gallops;
-        row.p_subsumed <- row.p_subsumed + src_row.p_subsumed)
-      (List.rev src.preds_rev);
-    dst.rounds_rev <- src.rounds_rev @ dst.rounds_rev;
-    dst.strata_rev <- src.strata_rev @ dst.strata_rev;
-    dst.round_no <- max dst.round_no src.round_no
-  end
-
 (* The with_* combinators attribute counter deltas and elapsed time to a
    row.  They record on exceptional exit too: when Limits.Out_of_budget
    aborts an evaluation, the work done so far stays attributed. *)

@@ -9,15 +9,9 @@ type outcome = {
   status : Limits.status;
 }
 
-(* Strata always run in sequence, even with a domain pool: independent
-   SCCs of the predicate graph could in principle evaluate concurrently,
-   but their rule applications would interleave nondeterministically and
-   the per-stratum profile and checkpoint stream would no longer match
-   the serial engine.  Parallelism lives inside each rule application
-   ({!Par}), where a deterministic merge keeps counters exact. *)
 let run ?(limits = Limits.none) ?(profile = Profile.none)
     ?(checkpoint = Checkpoint.none) ?resume_from ?db ?(use_naive = false)
-    ?plan ?par ?(subsume = Subsume.none) program =
+    ?plan ?(subsume = Subsume.none) program =
   match Stratify.stratification program with
   | None ->
     Error
@@ -67,10 +61,10 @@ let run ?(limits = Limits.none) ?(profile = Profile.none)
                    strata produced *)
                 if use_naive then
                   Fixpoint.naive counters ~guard ~profile ~ckpt:checkpoint
-                    ?plan ?par ~subsume ~db ~neg rules
+                    ?plan ~subsume ~db ~neg rules
                 else
                   Fixpoint.seminaive counters ~guard ~profile
-                    ~ckpt:checkpoint ?plan ?par ~subsume ?initial_delta ~db
+                    ~ckpt:checkpoint ?plan ~subsume ?initial_delta ~db
                     ~neg rules)
         done
       with

@@ -24,18 +24,14 @@ val run :
   ?db:Database.t ->
   ?use_naive:bool ->
   ?plan:Plan.config ->
-  ?par:Par.t ->
   ?subsume:Subsume.t ->
   Program.t ->
   (outcome, string) result
 (** Evaluate the whole program.  [db] optionally supplies a pre-seeded
     database (the program's facts are always added); [use_naive] switches
     the per-stratum fixpoint from semi-naive to naive (for the ablation
-    benchmarks).  [par] supplies a domain pool for sharded rule
-    applications (compiled path only); strata still run in sequence, so
-    profiles and checkpoints match the serial engine (see {!Par}).
-    An active [subsume] filter ({!Subsume}) is applied in every stratum's
-    fixpoint.  An active [profile] records per-stratum, per-round and
+    benchmarks).  An active [subsume] filter ({!Subsume}) is applied in
+    every stratum's fixpoint.  An active [profile] records per-stratum, per-round and
     per-rule rows (see {!Profile}).  [limits] bounds the evaluation (see {!Limits}); on
     exhaustion the outcome is still [Ok] with [status = Exhausted _].
 

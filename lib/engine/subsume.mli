@@ -14,8 +14,8 @@
     The filter is consulted at the evaluators' emit sites
     ({!Fixpoint.naive}/{!Fixpoint.seminaive}); a [drop] decision reads
     only the general relations, which a single rule application never
-    mutates, so serial, compiled and domain-sharded ({!Par}) evaluation
-    make identical decisions. *)
+    mutates, so interpreted and compiled evaluation make identical
+    decisions. *)
 
 open Datalog_ast
 open Datalog_storage

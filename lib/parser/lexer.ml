@@ -99,6 +99,14 @@ let read_string lx =
   go ();
   Buffer.contents buf
 
+(* [text] is a run of digits, with a leading '-' for a negative literal.
+   Parsing the sign together with the digits accepts [min_int], whose
+   magnitude is one more than [max_int]. *)
+let int_literal text pos =
+  match int_of_string text with
+  | n -> INT n
+  | exception Failure _ -> raise (Error ("integer literal out of range", pos))
+
 let next lx =
   skip_trivia lx;
   let pos = position lx in
@@ -110,7 +118,7 @@ let next lx =
         let word = read_while lx is_ident_char in
         if String.equal word "not" then NOT else IDENT word
       else if is_upper c then VAR (read_while lx is_ident_char)
-      else if is_digit c then INT (int_of_string (read_while lx is_digit))
+      else if is_digit c then int_literal (read_while lx is_digit) pos
       else
         match c with
         | '"' -> STRING (read_string lx)
@@ -130,7 +138,7 @@ let next lx =
           advance lx;
           (match peek_char lx with
           | Some d when is_digit d ->
-            INT (-int_of_string (read_while lx is_digit))
+            int_literal ("-" ^ read_while lx is_digit) pos
           | _ -> raise (Error ("stray '-'", pos)))
         | ':' ->
           advance lx;

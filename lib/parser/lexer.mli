@@ -29,6 +29,7 @@ type t
 val of_string : string -> t
 val next : t -> token * position
 (** Consume and return the next token.
-    @raise Error on an invalid character or unterminated string. *)
+    @raise Error on an invalid character, an unterminated string, or an
+    integer literal outside [[min_int, max_int]]. *)
 
 val pp_token : Format.formatter -> token -> unit

@@ -9,7 +9,6 @@ type bucket = {
 type index = {
   cols : int array;  (* strictly increasing column numbers *)
   map : bucket Tuple.Tbl.t;  (* projected key -> matching tuples *)
-  mutable idead : int;  (* dead entries across all buckets, for {!freeze} *)
 }
 
 (* A sorted columnar projection for one column set.  [srows] holds the
@@ -137,22 +136,21 @@ let rec shift_back r hole p =
    which is why [insert] must register index entries *before* the table:
    a remove-then-reinsert of the same tuple would otherwise see its own
    fresh copy as live while the dead one still sits in the bucket. *)
-let bucket_compact r idx b =
+let bucket_compact r b =
   if b.dead > 0 then begin
     b.tuples <- List.filter (mem r) b.tuples;
-    idx.idead <- idx.idead - b.dead;
     b.dead <- 0
   end
 
-let bucket_tuples r idx b =
-  bucket_compact r idx b;
+let bucket_tuples r b =
+  bucket_compact r b;
   b.tuples
 
 let index_add r idx tuple =
   let key = Tuple.project idx.cols tuple in
   match Tuple.Tbl.find_opt idx.map key with
   | Some b ->
-    bucket_compact r idx b;
+    bucket_compact r b;
     b.tuples <- tuple :: b.tuples;
     b.blen <- b.blen + 1
   | None -> Tuple.Tbl.add idx.map key { tuples = [ tuple ]; blen = 1; dead = 0 }
@@ -232,15 +230,9 @@ let remove r tuple =
         | None -> ()
         | Some b ->
           b.blen <- b.blen - 1;
-          if b.blen = 0 then begin
-            (* no dead buckets *)
-            idx.idead <- idx.idead - b.dead;
-            Tuple.Tbl.remove idx.map key
-          end
-          else begin
-            b.dead <- b.dead + 1;
-            idx.idead <- idx.idead + 1
-          end)
+          (* no dead buckets: an emptied one is dropped *)
+          if b.blen = 0 then Tuple.Tbl.remove idx.map key
+          else b.dead <- b.dead + 1)
       r.indexes;
     Hashtbl.iter
       (fun _ s ->
@@ -296,7 +288,7 @@ let get_index r cols_list =
   | None ->
     check_cols cols_list;
     let idx =
-      { cols = Array.of_list cols_list; map = Tuple.Tbl.create 64; idead = 0 }
+      { cols = Array.of_list cols_list; map = Tuple.Tbl.create 64 }
     in
     iter (fun t -> index_add r idx t) r;
     Hashtbl.add r.indexes cols_list idx;
@@ -321,7 +313,7 @@ let find_bucket r bindings =
     let cols = List.map fst bindings in
     let key = Array.of_list (List.map snd bindings) in
     let idx = get_index r cols in
-    Option.map (fun b -> (idx, b)) (Tuple.Tbl.find_opt idx.map key)
+    Tuple.Tbl.find_opt idx.map key
 
 let select r bindings =
   match bindings with
@@ -329,7 +321,7 @@ let select r bindings =
   | _ -> (
     match find_bucket r bindings with
     | None -> []
-    | Some (idx, b) -> bucket_tuples r idx b)
+    | Some b -> bucket_tuples r b)
 
 let select_count r bindings =
   match bindings with
@@ -337,7 +329,7 @@ let select_count r bindings =
   | _ -> (
     match find_bucket r bindings with
     | None -> ([], 0)
-    | Some (idx, b) -> (bucket_tuples r idx b, b.blen))
+    | Some b -> (bucket_tuples r b, b.blen))
 
 (* Pre-resolved index handles.  [prepare] validates and sorts the column
    set once, at plan-compile time; [probe] then memoises the index of the
@@ -376,35 +368,7 @@ let probe r a key =
   let idx = access_index r a in
   match Tuple.Tbl.find_opt idx.map key with
   | None -> ([], 0)
-  | Some b -> (bucket_tuples r idx b, b.blen)
-
-(* ------------------------------------------------------------------ *)
-(* Frozen read-only views
-
-   A worker domain may probe a relation only through a [frozen] handle
-   the coordinator prepared while it was the sole accessor: {!freeze}
-   resolves (and lazily builds) the index and compacts away every dead
-   bucket entry up front, so {!probe_frozen} is a pure hashtable lookup
-   that mutates nothing — no bucket compaction, no handle memoisation.
-   On the fixpoint path (no removals) [idead] is 0 and freezing an
-   already-built index is O(1).
-
-   The handle is only valid while the relation is not written; the
-   parallel executor ({!Datalog_engine.Par}) freezes per rule
-   application and re-freezes after the merge barrier. *)
-
-type frozen = index
-
-let freeze r a =
-  let idx = access_index r a in
-  if idx.idead > 0 then
-    Tuple.Tbl.iter (fun _ b -> bucket_compact r idx b) idx.map;
-  idx
-
-let probe_frozen (f : frozen) key =
-  match Tuple.Tbl.find_opt f.map key with
-  | None -> ([], 0)
-  | Some b -> (b.tuples, b.blen)
+  | Some b -> (bucket_tuples r b, b.blen)
 
 (* ------------------------------------------------------------------ *)
 (* Sorted columnar projections                                         *)

@@ -79,26 +79,6 @@ val probe : t -> access -> Code.t array -> Tuple.t list * int
     must be in ascending column order (the order of the sorted [cols]
     given to {!prepare}). *)
 
-type frozen
-(** A read-only snapshot handle of one hash index, for worker domains:
-    {!probe_frozen} through it is a pure lookup that mutates neither the
-    relation, the index buckets, nor any handle memo — unlike {!probe},
-    which may build the index, re-memoise the handle, and compact
-    buckets in place.  Only valid while the relation is not written
-    (the parallel executor freezes per rule application, while the
-    coordinator is the sole accessor). *)
-
-val freeze : t -> access -> frozen
-(** Resolve (building if necessary) the index behind [a] and compact
-    every dead bucket entry up front, so concurrent {!probe_frozen}
-    calls have nothing left to mutate.  O(1) plus the deferred
-    compaction work — free when no tuple was removed since the last
-    read. *)
-
-val probe_frozen : frozen -> Code.t array -> Tuple.t list * int
-(** Like {!probe}, against the frozen index.  Safe to call from several
-    domains concurrently as long as the relation is not mutated. *)
-
 type sorted_access
 (** A pre-resolved handle for a sorted columnar projection on a fixed
     column set, the {!access} analogue for merge joins. *)

@@ -112,6 +112,26 @@ let test_bad_query_reports_error () =
   let code, _ = run_cli [ "run"; sample "ancestor.dl"; "-q"; "anc(" ] in
   check tbool "non-zero exit" true (code <> 0)
 
+let test_int_overflow_is_parse_error () =
+  let file = Filename.temp_file "alexander_overflow" ".dl" in
+  Out_channel.with_open_text file (fun oc ->
+      output_string oc "edge(0, 4611686018427387904).\n");
+  let code, out = run_cli [ "run"; file; "-q"; "edge(0, X)" ] in
+  Sys.remove file;
+  check tint "exit 1" 1 code;
+  check tbool "parse error reported" true (contains ~sub:"parse error" out);
+  check tbool "out of range named" true
+    (contains ~sub:"integer literal out of range" out)
+
+(* evaluation has a single domain: there is no pool size to choose *)
+let test_domains_option_removed () =
+  let code, out =
+    run_cli [ "run"; sample "ancestor.dl"; "--domains"; "2" ]
+  in
+  check tint "usage error" 124 code;
+  check tbool "named as unknown" true
+    (contains ~sub:"unknown option '--domains'" out)
+
 let test_fact_cap_exit_code () =
   let code, out =
     run_cli [ "run"; sample "explosive.dl"; "--max-facts"; "100" ]
@@ -154,7 +174,7 @@ let test_stats_json_file_and_trace () =
   let json = In_channel.with_open_text out In_channel.input_all in
   Sys.remove out;
   check tbool "schema version" true
-    (contains ~sub:"\"schema_version\": 6" json);
+    (contains ~sub:"\"schema_version\": 7" json);
   check tbool "profile enabled" true (contains ~sub:"\"enabled\": true" json);
   check tbool "per-rule rows" true (contains ~sub:"\"rule\":" json);
   check tbool "plan block" true (contains ~sub:"\"compiled\": true" json);
@@ -210,6 +230,9 @@ let suite =
         Alcotest.test_case "explain" `Quick test_explain_prints_tree;
         Alcotest.test_case "wellfounded flag" `Quick test_wellfounded_flag;
         Alcotest.test_case "bad query" `Quick test_bad_query_reports_error;
+        Alcotest.test_case "integer overflow" `Quick
+          test_int_overflow_is_parse_error;
+        Alcotest.test_case "no --domains" `Quick test_domains_option_removed;
         Alcotest.test_case "fact-cap exit code" `Quick test_fact_cap_exit_code;
         Alcotest.test_case "timeout exit code" `Quick test_timeout_exit_code;
         Alcotest.test_case "non-binding limits" `Quick

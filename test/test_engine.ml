@@ -1,7 +1,7 @@
 (* Engine tests: the body-evaluation kernel, naive and semi-naive
    fixpoints, stratified evaluation, the conditional fixpoint, and the
    well-founded (alternating-fixpoint) semantics — including the agreement
-   properties between them. *)
+   properties between them — plus the laws of [Counters.add]. *)
 
 open Datalog_ast
 open Datalog_storage
@@ -268,6 +268,165 @@ let prop_wellfounded_equals_conditional_on_games =
       && List.sort Atom.compare wf.Wellfounded.undefined
          = List.sort Atom.compare cond.Conditional.undefined)
 
+(* -------------------------------------------------------------------- *)
+(* The Counters monoid: random counter traces, split any way, fold back
+   to the straight-line accumulation. *)
+
+(* one trace event bumps one field by a small amount *)
+type event = Ev of int * int (* field index 0..7, delta *)
+
+let apply_event (c : Counters.t) (Ev (field, d)) =
+  match field with
+  | 0 -> c.Counters.facts_derived <- c.Counters.facts_derived + d
+  | 1 -> c.Counters.firings <- c.Counters.firings + d
+  | 2 -> c.Counters.probes <- c.Counters.probes + d
+  | 3 -> c.Counters.scanned <- c.Counters.scanned + d
+  | 4 -> c.Counters.iterations <- c.Counters.iterations + d
+  | 5 -> c.Counters.merge_steps <- c.Counters.merge_steps + d
+  | 6 -> c.Counters.gallops <- c.Counters.gallops + d
+  | _ -> c.Counters.subsumed <- c.Counters.subsumed + d
+
+let of_events evs =
+  let c = Counters.create () in
+  List.iter (apply_event c) evs;
+  c
+
+let arb_events =
+  QCheck.make
+    ~print:(fun evs ->
+      String.concat ";"
+        (List.map (fun (Ev (f, d)) -> Printf.sprintf "%d+=%d" f d) evs))
+    QCheck.Gen.(
+      list_size (int_bound 60)
+        (let* field = int_bound 7 in
+         let* d = int_bound 9 in
+         return (Ev (field, d))))
+
+let prop_counters_add_assoc_comm =
+  QCheck.Test.make ~name:"Counters.add is associative and commutative"
+    ~count:200
+    (QCheck.triple arb_events arb_events arb_events)
+    (fun (e1, e2, e3) ->
+      let a () = of_events e1 and b () = of_events e2 and c () = of_events e3 in
+      (* (a+b)+c = a+(b+c): fold into an accumulator both ways *)
+      let l = Counters.create () in
+      Counters.add l (a ());
+      Counters.add l (b ());
+      Counters.add l (c ());
+      let bc = b () in
+      Counters.add bc (c ());
+      let r = Counters.create () in
+      Counters.add r (a ());
+      Counters.add r bc;
+      (* commutativity: c+b+a *)
+      let rev = Counters.create () in
+      Counters.add rev (c ());
+      Counters.add rev (b ());
+      Counters.add rev (a ());
+      (* all-int records: structural equality is field-wise *)
+      l = r && l = rev)
+
+let prop_counters_split_merge =
+  QCheck.Test.make
+    ~name:"Counters: split-then-merge = straight-line on random traces"
+    ~count:200
+    (QCheck.pair arb_events QCheck.small_nat)
+    (fun (evs, cut) ->
+      let straight = of_events evs in
+      let cut = if evs = [] then 0 else cut mod (List.length evs + 1) in
+      let l = List.filteri (fun i _ -> i < cut) evs in
+      let r = List.filteri (fun i _ -> i >= cut) evs in
+      let merged = Counters.create () in
+      Counters.add merged (of_events l);
+      Counters.add merged (of_events r);
+      (* a fresh counter set is the identity *)
+      Counters.add merged (Counters.create ());
+      straight = merged)
+
+(* -------------------------------------------------------------------- *)
+(* The shared emit step of the fixpoint loops: every round stores, counts
+   and budgets a derived tuple the same way, on both rule paths. *)
+
+let eval_compiled fixpoint program =
+  let db = Database.of_facts (Program.facts program) in
+  let cnt = Counters.create () in
+  let plan = Plan.config () in
+  let neg = Eval.closed_world_neg db in
+  let rules = Program.rules program in
+  (match fixpoint with
+  | `Naive -> Fixpoint.naive cnt ~plan ~db ~neg rules
+  | `Seminaive -> Fixpoint.seminaive cnt ~plan ~db ~neg rules);
+  (db, cnt)
+
+(* a new fact is counted once, however many rules and rounds emit it *)
+let test_emit_counts_each_fact_once () =
+  let program =
+    prog
+      "p(X, Y) :- e(X, Y).\n\
+       p(X, Y) :- e(X, Y), e(Y, Z).\n\
+       p(X, Z) :- p(X, Y), p(Y, Z).\n\
+       e(1, 2). e(2, 3). e(3, 4). e(4, 5)."
+  in
+  List.iter
+    (fun (name, (db, cnt)) ->
+      (* the closure of a 5-node path: 4*5/2 = 10 pairs *)
+      check tint (name ^ ": stored") 10
+        (Database.cardinal db (Pred.make "p" 2));
+      check tint (name ^ ": counted") 10 cnt.Counters.facts_derived;
+      check tint (name ^ ": nothing subsumed") 0 cnt.Counters.subsumed)
+    [ ("naive", eval_naive program);
+      ("seminaive", eval_seminaive program);
+      ("naive/compiled", eval_compiled `Naive program);
+      ("seminaive/compiled", eval_compiled `Seminaive program)
+    ]
+
+(* the compiled plans and the interpreter emit through the same step, so
+   every counter agrees between them, round count included *)
+let test_emit_compiled_equals_interpreted () =
+  let program = Alexander.Workloads.ancestor_chain 40 in
+  let pairs =
+    [ ("naive", eval_naive program, eval_compiled `Naive program);
+      ("seminaive", eval_seminaive program, eval_compiled `Seminaive program)
+    ]
+  in
+  List.iter
+    (fun (name, (db_i, cnt_i), (db_c, cnt_c)) ->
+      check tbool (name ^ ": same IDB") true
+        (idb_atoms program db_i = idb_atoms program db_c);
+      check tint (name ^ ": facts_derived") cnt_i.Counters.facts_derived
+        cnt_c.Counters.facts_derived;
+      check tint (name ^ ": firings") cnt_i.Counters.firings
+        cnt_c.Counters.firings;
+      check tint (name ^ ": iterations") cnt_i.Counters.iterations
+        cnt_c.Counters.iterations)
+    pairs
+
+(* a relation budget is enforced inside the emit step of every loop: the
+   run stops at the tuple that crosses it, with the earlier facts kept *)
+let test_emit_enforces_tuple_cap () =
+  let program = Alexander.Workloads.ancestor_chain 30 in
+  List.iter
+    (fun (name, run) ->
+      let db = Database.of_facts (Program.facts program) in
+      let cnt = Counters.create () in
+      let guard = Limits.guard (Limits.make ~max_tuples:50 ()) cnt in
+      match
+        run cnt guard db (Eval.closed_world_neg db) (Program.rules program)
+      with
+      | () -> Alcotest.fail (name ^ ": cap not enforced")
+      | exception Limits.Out_of_budget _ ->
+        let anc = Database.cardinal db (Pred.make "anc" 2) in
+        check tint (name ^ ": stopped at the crossing tuple") 51 anc;
+        check tint (name ^ ": every stored fact counted") anc
+          cnt.Counters.facts_derived)
+    [ ( "naive",
+        fun cnt guard db neg rules -> Fixpoint.naive cnt ~guard ~db ~neg rules
+      );
+      ( "seminaive",
+        fun cnt guard db neg rules ->
+          Fixpoint.seminaive cnt ~guard ~db ~neg rules )
+    ]
+
 let suite =
   [ ( "engine:fixpoint",
       [ Alcotest.test_case "naive ancestor" `Quick test_naive_ancestor_chain;
@@ -302,5 +461,16 @@ let suite =
           prop_stratified_equals_conditional;
           prop_stratified_equals_wellfounded;
           prop_wellfounded_equals_conditional_on_games
-        ] )
+        ] );
+    ( "engine:emit",
+      [ Alcotest.test_case "each new fact counted once" `Quick
+          test_emit_counts_each_fact_once;
+        Alcotest.test_case "compiled = interpreted counters" `Quick
+          test_emit_compiled_equals_interpreted;
+        Alcotest.test_case "tuple cap enforced" `Quick
+          test_emit_enforces_tuple_cap
+      ] );
+    ( "engine:counters",
+      List.map QCheck_alcotest.to_alcotest
+        [ prop_counters_add_assoc_comm; prop_counters_split_merge ] )
   ]

@@ -11,5 +11,5 @@ let () =
    @ Test_snapshot.suite @ Test_checkpoint.suite @ Test_faults.suite
    @ Test_wal.suite
    @ Test_subsume.suite
-   @ Test_plan.suite @ Test_par.suite @ Test_cli.suite @ Test_misc.suite
+   @ Test_plan.suite @ Test_cli.suite @ Test_misc.suite
    @ Test_server.suite @ Test_server_drill.suite)

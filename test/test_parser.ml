@@ -118,6 +118,44 @@ let test_roundtrip () =
     (List.equal Rule.equal (Program.rules p1) (Program.rules p2)
     && List.equal Atom.equal (Program.facts p1) (Program.facts p2))
 
+(* integer literals: exactly [min_int, max_int] is accepted; anything
+   wider is a typed error at the literal, never an uncaught exception *)
+let test_int_literal_extremes_roundtrip () =
+  List.iter
+    (fun n ->
+      let p1 = P.program_of_string (Printf.sprintf "edge(0, %d)." n) in
+      let p2 = P.program_of_string (Format.asprintf "%a" Program.pp p1) in
+      check tbool (Printf.sprintf "%d round-trips" n) true
+        (match Program.facts p2 with
+        | [ fact ] -> (Atom.args fact).(1) = Term.Const (Value.Int n)
+        | _ -> false))
+    [ max_int; min_int ]
+
+let test_int_literal_out_of_range () =
+  List.iter
+    (fun lit ->
+      (* the literal starts at line 2, column 9 *)
+      match P.parse_string (Printf.sprintf "p(1).\nedge(0, %s)." lit) with
+      | Error msg ->
+        check tbool (lit ^ " rejected at the literal") true
+          (contains
+             ~sub:"line 2, column 9: integer literal out of range" msg)
+      | Ok _ -> Alcotest.fail (lit ^ " accepted"))
+    [ "4611686018427387904" (* max_int + 1 *);
+      "-4611686018427387905" (* min_int - 1 *);
+      "12345678901234567890"
+    ];
+  Alcotest.check_raises "lexer error"
+    (L.Error ("integer literal out of range", { L.line = 1; col = 3 }))
+    (fun () -> ignore (tokens_of "a 99999999999999999999"))
+
+(* the digits are read in full before conversion: leading zeros and a
+   negated zero are ordinary in-range literals *)
+let test_int_literal_leading_zeros () =
+  check tbool "leading zeros" true
+    (tokens_of "007 -007 -0 04611686018427387903"
+    = [ L.INT 7; L.INT (-7); L.INT 0; L.INT max_int ])
+
 let test_queries_order () =
   let parsed = P.parse_string_exn "?- a(1). ?- b(2). ?- c(3)." in
   check (Alcotest.list Alcotest.string) "source order"
@@ -143,6 +181,12 @@ let suite =
           test_parse_nonground_fact_rejected;
         Alcotest.test_case "error position" `Quick test_parse_error_position;
         Alcotest.test_case "round-trip" `Quick test_roundtrip;
+        Alcotest.test_case "int literal extremes round-trip" `Quick
+          test_int_literal_extremes_roundtrip;
+        Alcotest.test_case "int literal out of range" `Quick
+          test_int_literal_out_of_range;
+        Alcotest.test_case "int literal leading zeros" `Quick
+          test_int_literal_leading_zeros;
         Alcotest.test_case "query order" `Quick test_queries_order
       ] )
   ]

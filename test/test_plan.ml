@@ -396,6 +396,116 @@ let test_merge_reduces_probes () =
         (m.S.counters.C.probes < h.S.counters.C.probes))
     [ O.Seminaive; O.Magic; O.Supplementary; O.Supplementary_idb; O.Alexander ]
 
+(* ------------------------------------------------------------------ *)
+(* One evaluation path: the compiled plans run on the calling domain, so
+   a query's answers and every counter, gallops included, are a function
+   of the program and the options alone. *)
+
+let all_counters (r : S.report) =
+  let c = r.S.counters in
+  ( c.C.facts_derived,
+    c.C.firings,
+    c.C.probes,
+    c.C.scanned,
+    c.C.iterations,
+    c.C.merge_steps,
+    c.C.gallops,
+    c.C.subsumed )
+
+let test_serial_runs_repeat () =
+  let program = Alexander.Workloads.ancestor_chain 260 in
+  let query = atom "anc(100, X)" in
+  List.iter
+    (fun strategy ->
+      let run () = S.run_exn ~options:(opts strategy) program query in
+      let a = run () and b = run () in
+      let name = O.strategy_name strategy in
+      (* the nodes below 100 on a 260-edge chain *)
+      check tint (name ^ ": answers") 160 (List.length a.S.answers);
+      check tbool (name ^ ": same answers") true (a.S.answers = b.S.answers);
+      check tbool (name ^ ": same counters") true
+        (all_counters a = all_counters b))
+    [ O.Seminaive; O.Magic; O.Alexander; O.Supplementary ]
+
+let test_serial_same_generation () =
+  let program = Alexander.Workloads.same_generation ~layers:6 ~width:10 in
+  let query = atom "sg(0, X)" in
+  let answers strategy =
+    (S.run_exn ~options:(opts strategy) program query).S.answers
+  in
+  let reference = answers O.Seminaive in
+  check tbool "some answers" true (reference <> []);
+  List.iter
+    (fun strategy ->
+      check tbool
+        (O.strategy_name strategy ^ " = seminaive")
+        true
+        (answers strategy = reference))
+    [ O.Magic; O.Alexander; O.Supplementary ]
+
+let test_serial_negation () =
+  let program =
+    prog
+      ("reach(X) :- source(X).\n\
+        reach(Y) :- reach(X), edge(X, Y).\n\
+        dead(X) :- node(X), not reach(X).\n\
+        source(0)."
+      ^ String.concat ""
+          (List.init 150 (fun i -> Printf.sprintf "edge(%d, %d)." i (i + 1)))
+      ^ String.concat ""
+          (List.init 200 (fun i -> Printf.sprintf "node(%d)." i)))
+  in
+  let report =
+    S.run_exn ~options:(opts ~merge:false O.Seminaive) program (atom "dead(X)")
+  in
+  (* 0..150 are reachable; 151..199 are not *)
+  check tint "dead nodes" 49 (List.length report.S.answers);
+  check tbool "compiled (hash joins) = interpreted" true
+    (counters report
+    = counters
+        (S.run_exn ~options:(opts ~compile:false O.Seminaive) program
+           (atom "dead(X)")))
+
+(* profiling only observes: switching it on changes no counter *)
+let test_profile_does_not_perturb () =
+  List.iter
+    (fun (program, query) ->
+      List.iter
+        (fun strategy ->
+          let plain = S.run_exn ~options:(opts strategy) program query in
+          let profiled =
+            S.run_exn
+              ~options:{ (opts strategy) with O.profile = true }
+              program query
+          in
+          check tbool
+            (O.strategy_name strategy ^ ": same counters")
+            true
+            (all_counters plain = all_counters profiled))
+        [ O.Seminaive; O.Alexander ])
+    [ (Alexander.Workloads.ancestor_chain 120, atom "anc(30, X)");
+      ( Alexander.Workloads.same_generation ~layers:5 ~width:8,
+        atom "sg(0, X)" )
+    ]
+
+(* a fact cap stops the compiled path soundly: a partial answer set that
+   is a subset of the full one *)
+let test_fact_cap_sound () =
+  let program = Alexander.Workloads.ancestor_chain 260 in
+  let query = atom "anc(100, X)" in
+  let full = S.run_exn ~options:(opts O.Seminaive) program query in
+  let options =
+    { (opts O.Seminaive) with
+      O.limits = Datalog_engine.Limits.make ~max_facts:500 ()
+    }
+  in
+  let partial = S.run_exn ~options program query in
+  check tbool "exhausted" true (S.incomplete partial);
+  check tbool "fewer answers" true
+    (List.length partial.S.answers < List.length full.S.answers);
+  check tbool "partial answers are a subset" true
+    (List.for_all (fun a -> List.mem a full.S.answers) partial.S.answers)
+
 let suite =
   [ ( "plan",
       [ Alcotest.test_case "cmp parity" `Quick test_cmp_parity;
@@ -418,5 +528,13 @@ let suite =
           @ prop_ltr_parity Gen.arb_stratified_program_query "stratified" 25
           @ prop_merge_parity Gen.arb_positive_program_query "positive" 40
           @ prop_merge_parity Gen.arb_stratified_program_query "stratified" 25
-          @ prop_negation_modes) )
+          @ prop_negation_modes) );
+    ( "plan:serial",
+      [ Alcotest.test_case "repeated runs agree" `Quick test_serial_runs_repeat;
+        Alcotest.test_case "same generation" `Quick test_serial_same_generation;
+        Alcotest.test_case "negation" `Quick test_serial_negation;
+        Alcotest.test_case "profiling changes no counter" `Quick
+          test_profile_does_not_perturb;
+        Alcotest.test_case "fact cap stays sound" `Quick test_fact_cap_sound
+      ] )
   ]
